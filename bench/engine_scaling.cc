@@ -133,16 +133,17 @@ histString(const WindowImbalanceStats &s)
     return out;
 }
 
+/** Traffic plus the shard-invariant cycle fields: the Serial ones,
+ *  and the Window ones too under merged window mode. */
 bool
-sameTraffic(const BuddyStats &a, const BuddyStats &b)
+sameTraffic(const BuddyStats &a, const BuddyStats &b, WindowMode mode)
 {
     return a.reads == b.reads && a.writes == b.writes &&
            a.deviceSectorTraffic == b.deviceSectorTraffic &&
            a.buddySectorTraffic == b.buddySectorTraffic &&
            a.buddyAccesses == b.buddyAccesses &&
            a.overflowEntries == b.overflowEntries &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles;
+           a.sameCycles(b, mode == WindowMode::Merged);
 }
 
 } // namespace
@@ -222,7 +223,7 @@ main(int argc, char **argv)
                     last && want_trace ? &trace : nullptr);
         if (shards == 1)
             ref = r;
-        else if (!sameTraffic(r.stats, ref.stats))
+        else if (!sameTraffic(r.stats, ref.stats, mode))
             totals_ok = false;
         runs.emplace_back(shards, r);
 

@@ -59,15 +59,8 @@ using namespace buddy;
 namespace {
 
 /** Cycle totals of one timed write+read pass over the working set. */
-struct TimedRun
+struct TimedRun : CycleLedger
 {
-    u64 deviceCycles = 0;
-    u64 buddyCycles = 0;
-    u64 deviceWindowCycles = 0;
-    u64 buddyWindowCycles = 0;
-    u64 combinedWindowCycles = 0;
-    u64 codecCycles = 0;
-    u64 codecChargedWindowCycles = 0;
     u64 buddySectors = 0;
 
     u64 total() const { return deviceCycles + buddyCycles; }
@@ -80,14 +73,7 @@ struct TimedRun
     bool
     operator==(const TimedRun &o) const
     {
-        return deviceCycles == o.deviceCycles &&
-               buddyCycles == o.buddyCycles &&
-               deviceWindowCycles == o.deviceWindowCycles &&
-               buddyWindowCycles == o.buddyWindowCycles &&
-               combinedWindowCycles == o.combinedWindowCycles &&
-               codecCycles == o.codecCycles &&
-               codecChargedWindowCycles == o.codecChargedWindowCycles &&
-               buddySectors == o.buddySectors;
+        return sameCycles(o) && buddySectors == o.buddySectors;
     }
 };
 
@@ -121,26 +107,14 @@ runTimed(Target &target, std::size_t entries, const std::vector<u8> &data)
     for (std::size_t i = 0; i < entries; ++i)
         plan.write(vas[i], data.data() + i * kEntryBytes);
     target.execute(plan);
-    r.deviceCycles += plan.summary().deviceCycles;
-    r.buddyCycles += plan.summary().buddyCycles;
-    r.deviceWindowCycles += plan.summary().deviceWindowCycles;
-    r.buddyWindowCycles += plan.summary().buddyWindowCycles;
-    r.combinedWindowCycles += plan.summary().combinedWindowCycles;
-    r.codecCycles += plan.summary().codecCycles;
-    r.codecChargedWindowCycles += plan.summary().codecChargedWindowCycles;
+    r.addCycles(plan.summary());
     r.buddySectors += plan.summary().buddySectors;
 
     plan.clear();
     for (std::size_t i = 0; i < entries; ++i)
         plan.read(vas[i], out.data() + i * kEntryBytes);
     target.execute(plan);
-    r.deviceCycles += plan.summary().deviceCycles;
-    r.buddyCycles += plan.summary().buddyCycles;
-    r.deviceWindowCycles += plan.summary().deviceWindowCycles;
-    r.buddyWindowCycles += plan.summary().buddyWindowCycles;
-    r.combinedWindowCycles += plan.summary().combinedWindowCycles;
-    r.codecCycles += plan.summary().codecCycles;
-    r.codecChargedWindowCycles += plan.summary().codecChargedWindowCycles;
+    r.addCycles(plan.summary());
     r.buddySectors += plan.summary().buddySectors;
     return r;
 }

@@ -54,8 +54,111 @@ struct AccessRequest
     u8 *dst = nullptr;
 };
 
-/** Traffic breakdown of a single entry access. */
-struct AccessInfo
+/** How a CycleLedger field combines across the shards of one batch. */
+enum class CycleKind : u8 {
+    /** A pure per-op charge, identical under any sharding: summed
+     *  across shards. */
+    Serial,
+    /** A windowed makespan (timing/window.h): rescheduled over the
+     *  merged submission-order stream under WindowMode::Merged, the max
+     *  over the participating shards (the N-GPU barrier) under
+     *  WindowMode::PerShard. */
+    Window,
+};
+
+/**
+ * The simulated-cycle charges of one access, one batch, or a run. This
+ * is the single definition of the cycle fields: AccessInfo, BatchSummary
+ * and BuddyStats inherit it, and every fold, comparison, metric and
+ * trace-footer field walks forEachField(), so a new cycle field is one
+ * member plus one forEachField() line (plus the code that produces it).
+ *
+ * Every field is deterministic run-to-run. Serial fields are pure
+ * functions of the traffic; Window fields are, per op, the advance of
+ * the batch's windowed-replay completion frontier (so a batch's charges
+ * telescope to its makespan) and, summed over batches, additive
+ * bookkeeping of per-batch makespans. They are shard-invariant under
+ * WindowMode::Merged and depend on the sharding by design under
+ * WindowMode::PerShard.
+ */
+struct CycleLedger
+{
+    /** Cycles the device store's LinkModel charged
+     *  (timing/link_model.h). */
+    Cycles deviceCycles = 0;
+
+    /** Cycles the buddy store's LinkModel charged. */
+    Cycles buddyCycles = 0;
+
+    /** Device-link windowed makespan with BuddyConfig::linkWindow round
+     *  trips in flight; equals deviceCycles at linkWindow == 1. */
+    Cycles deviceWindowCycles = 0;
+
+    /** Buddy-link windowed makespan. */
+    Cycles buddyWindowCycles = 0;
+
+    /** Cross-link windowed makespan: the links drain in parallel, so a
+     *  batch finishes at max(device, buddy) makespan (WindowGroup). */
+    Cycles combinedWindowCycles = 0;
+
+    /** Unloaded latency of the codec's inline unit: CodecTiming::latency
+     *  per compression of a non-zero write or decompression of a
+     *  compressed entry. Never folded into the link cycles. */
+    Cycles codecCycles = 0;
+
+    /** combinedWindowCycles plus the codec time the pipelined unit could
+     *  not hide behind link transfers; equal to it when the codec timing
+     *  is free. */
+    Cycles codecChargedWindowCycles = 0;
+
+    /**
+     * Call @p f(field, metricName, kind) for every field in trace-footer
+     * order: @p field is a `Cycles CycleLedger::*`, @p metricName the
+     * counter the engine registers, @p kind the field's CycleKind.
+     */
+    template <typename F>
+    static void
+    forEachField(F &&f)
+    {
+        f(&CycleLedger::deviceCycles, "device_cycles", CycleKind::Serial);
+        f(&CycleLedger::buddyCycles, "buddy_cycles", CycleKind::Serial);
+        f(&CycleLedger::deviceWindowCycles, "device_window_cycles",
+          CycleKind::Window);
+        f(&CycleLedger::buddyWindowCycles, "buddy_window_cycles",
+          CycleKind::Window);
+        f(&CycleLedger::combinedWindowCycles, "combined_window_cycles",
+          CycleKind::Window);
+        f(&CycleLedger::codecCycles, "codec_cycles", CycleKind::Serial);
+        f(&CycleLedger::codecChargedWindowCycles,
+          "codec_charged_window_cycles", CycleKind::Window);
+    }
+
+    /** Add @p o field by field. */
+    void
+    addCycles(const CycleLedger &o)
+    {
+        forEachField([&](Cycles CycleLedger::*f, const char *, CycleKind) {
+            this->*f += o.*f;
+        });
+    }
+
+    /** Field-wise equality over the Serial fields, plus the Window
+     *  fields when @p windowed. */
+    bool
+    sameCycles(const CycleLedger &o, bool windowed = true) const
+    {
+        bool same = true;
+        forEachField([&](Cycles CycleLedger::*f, const char *,
+                         CycleKind kind) {
+            if (kind == CycleKind::Serial || windowed)
+                same = same && this->*f == o.*f;
+        });
+        return same;
+    }
+};
+
+/** Traffic breakdown and cycle charges of a single entry access. */
+struct AccessInfo : CycleLedger
 {
     /** 32 B sectors transferred from/to device memory. */
     unsigned deviceSectors = 0;
@@ -65,77 +168,6 @@ struct AccessInfo
 
     /** True if the metadata lookup hit in the metadata cache. */
     bool metadataHit = true;
-
-    /**
-     * Simulated cycles the device store's LinkModel charged this access
-     * (see timing/link_model.h). A pure function of the traffic, so it
-     * is identical under any sharding — the engine's determinism
-     * contract extends to these fields.
-     */
-    Cycles deviceCycles = 0;
-
-    /** Simulated cycles the buddy store's LinkModel charged. */
-    Cycles buddyCycles = 0;
-
-    /**
-     * Device-link share of the batch's windowed (MSHR-style) timing
-     * replay: the advance of the window's completion frontier this
-     * access caused (see timing/window.h). The charges of a batch
-     * telescope, so their sum is the windowed makespan of the batch's
-     * device-link stream. Under the engine's default
-     * WindowMode::Merged the replay is scheduled over the merged
-     * submission-order traffic — a pure function of the plan — so the
-     * charges are identical under any sharding, like the serial
-     * fields; under WindowMode::PerShard each shard windows its own
-     * sub-stream, so they depend on the sharding by design. At
-     * BuddyConfig::linkWindow == 1 this equals deviceCycles exactly.
-     */
-    Cycles deviceWindowCycles = 0;
-
-    /** Buddy-link share of the windowed replay (see above). */
-    Cycles buddyWindowCycles = 0;
-
-    /**
-     * Combined (cross-link) share of the windowed replay: the advance
-     * of the batch's *combined* completion frontier — the max over the
-     * device and buddy link frontiers (timing/window.h WindowGroup).
-     * The two links run in parallel, so these charges telescope to
-     * max(device makespan, buddy makespan) per batch, a tighter
-     * makespan than the per-link sum, bracketed per batch by
-     * max(deviceWindowCycles, buddyWindowCycles) totals and their sum.
-     * Like the other window fields, the per-op charges are
-     * shard-invariant only under WindowMode::Merged (the engine
-     * reschedules the merged stream); under WindowMode::PerShard they
-     * are each shard's own sub-stream charges, which depend on the
-     * sharding by design (still reproducible run-to-run).
-     */
-    Cycles combinedWindowCycles = 0;
-
-    /**
-     * Unloaded (de)compression latency of this access through the
-     * configured codec's inline unit (CodecTiming::latency per
-     * processed entry; see timing/link_model.h): nonzero exactly when
-     * the codec ran — compression on non-zero writes, decompression on
-     * reads/probes of compressed entries — and the codec timing is
-     * nonzero. A pure function of the op and the codec configuration,
-     * so it rides the engine's determinism contract like the serial
-     * link charges. Never folded into deviceCycles/buddyCycles: link
-     * occupancy stays a pure function of the traffic.
-     */
-    Cycles codecCycles = 0;
-
-    /**
-     * Codec-charged share of the windowed replay: the advance of the
-     * batch's codec-charged frontier — each op's completion including
-     * its (de)compression through the batch's shared CodecStage
-     * (timing/window.h). Telescopes to the batch's codec-charged
-     * makespan: combinedWindowCycles plus exactly the codec time the
-     * pipelined unit could not hide behind link transfers; equal to
-     * combinedWindowCycles when the codec timing is free. Shard-
-     * invariance follows combinedWindowCycles: exact under
-     * WindowMode::Merged, per-shard by design under PerShard.
-     */
-    Cycles codecChargedWindowCycles = 0;
 
     /**
      * Total link cycles charged for this access. The device and buddy
@@ -163,8 +195,10 @@ struct AccessInfo
     }
 };
 
-/** Batch-level traffic summary filled by execute(). */
-struct BatchSummary
+/** Batch-level traffic summary and cycle totals filled by execute().
+ *  Under WindowMode::PerShard the Window fields carry the batch's N-GPU
+ *  makespans (max over shards). */
+struct BatchSummary : CycleLedger
 {
     u64 reads = 0;
     u64 writes = 0;
@@ -174,54 +208,6 @@ struct BatchSummary
     u64 metadataHits = 0;
     u64 metadataMisses = 0;
     u64 buddyAccesses = 0; ///< operations that touched buddy memory
-
-    /** Simulated cycles charged to the device link across the batch. */
-    u64 deviceCycles = 0;
-
-    /** Simulated cycles charged to the buddy/interconnect link. */
-    u64 buddyCycles = 0;
-
-    /**
-     * Windowed-replay makespan of the batch's device-link stream: the
-     * simulated cycles the batch needs with BuddyConfig::linkWindow
-     * round trips in flight (timing/window.h). Equals deviceCycles at
-     * linkWindow == 1; approaches the pipe's transfer occupancy as the
-     * window grows.
-     */
-    u64 deviceWindowCycles = 0;
-
-    /** Windowed-replay makespan of the buddy-link stream. */
-    u64 buddyWindowCycles = 0;
-
-    /**
-     * Combined (cross-link) windowed makespan of the batch: the device
-     * and buddy links drain in parallel, so the batch's windowed replay
-     * finishes at max(deviceWindowCycles, buddyWindowCycles) — tighter
-     * than windowTotalCycles(), which sums the per-link makespans. In
-     * the engine's per-shard window mode (BuddyConfig::windowMode) this
-     * carries the N-GPU makespan instead: the max over the shards'
-     * combined makespans (the cross-shard barrier at batch completion).
-     */
-    u64 combinedWindowCycles = 0;
-
-    /**
-     * Total unloaded codec latency the batch charged (AccessInfo::
-     * codecCycles sums): serial occupancy of the inline unit, additive
-     * across batches and shards. 0 exactly when the codec timing is
-     * free or no op exercised the codec.
-     */
-    u64 codecCycles = 0;
-
-    /**
-     * Codec-charged windowed makespan of the batch: the combined
-     * (cross-link) makespan plus the codec time the pipelined unit
-     * could not hide behind link transfers — the headline
-     * "codec-charged" figure the fig10/fig12 lines report. Equals
-     * combinedWindowCycles when the codec timing is free. Under
-     * per-shard window mode it carries the codec-charged N-GPU
-     * makespan (max over shards), like combinedWindowCycles.
-     */
-    u64 codecChargedWindowCycles = 0;
 
     u64 operations() const { return reads + writes + probes; }
 
@@ -242,13 +228,7 @@ struct BatchSummary
         metadataHits += o.metadataHits;
         metadataMisses += o.metadataMisses;
         buddyAccesses += o.buddyAccesses;
-        deviceCycles += o.deviceCycles;
-        buddyCycles += o.buddyCycles;
-        deviceWindowCycles += o.deviceWindowCycles;
-        buddyWindowCycles += o.buddyWindowCycles;
-        combinedWindowCycles += o.combinedWindowCycles;
-        codecCycles += o.codecCycles;
-        codecChargedWindowCycles += o.codecChargedWindowCycles;
+        addCycles(o);
     }
 
     /** Total link cycles the batch charged (occupancy, additive). */
@@ -399,5 +379,7 @@ using api::AccessInfo;
 using api::AccessKind;
 using api::AccessRequest;
 using api::BatchSummary;
+using api::CycleKind;
+using api::CycleLedger;
 
 } // namespace buddy

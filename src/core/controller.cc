@@ -433,25 +433,13 @@ BuddyController::executeOp(const AccessRequest &op,
 
     stats_.deviceSectorTraffic += info.deviceSectors;
     stats_.buddySectorTraffic += info.buddySectors;
-    stats_.deviceCycles += info.deviceCycles;
-    stats_.buddyCycles += info.buddyCycles;
-    stats_.deviceWindowCycles += info.deviceWindowCycles;
-    stats_.buddyWindowCycles += info.buddyWindowCycles;
-    stats_.combinedWindowCycles += info.combinedWindowCycles;
-    stats_.codecCycles += info.codecCycles;
-    stats_.codecChargedWindowCycles += info.codecChargedWindowCycles;
+    stats_.addCycles(info);
     if (info.usedBuddy())
         ++stats_.buddyAccesses;
 
     summary.deviceSectors += info.deviceSectors;
     summary.buddySectors += info.buddySectors;
-    summary.deviceCycles += info.deviceCycles;
-    summary.buddyCycles += info.buddyCycles;
-    summary.deviceWindowCycles += info.deviceWindowCycles;
-    summary.buddyWindowCycles += info.buddyWindowCycles;
-    summary.combinedWindowCycles += info.combinedWindowCycles;
-    summary.codecCycles += info.codecCycles;
-    summary.codecChargedWindowCycles += info.codecChargedWindowCycles;
+    summary.addCycles(info);
     if (meta_hit)
         ++summary.metadataHits;
     else

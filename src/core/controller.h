@@ -112,7 +112,7 @@ struct BuddyConfig
      * the MSHR pool the functional-timing path models (see
      * timing/window.h). Every executed batch is additionally scheduled
      * through one RequestWindow per link in submission order, filling
-     * the *WindowCycles fields of AccessInfo/BatchSummary/BuddyStats.
+     * the Window fields of the CycleLedger (api/access.h).
      * The default of 1 reproduces the serial LinkModel totals
      * bit-for-bit; larger windows overlap round-trip latency and
      * approach the bandwidth bound. 0 — or a window > 1 over a
@@ -127,9 +127,9 @@ struct BuddyConfig
      * configured codec's registry timing (CodecInfo::timing:
      * zero/bdi/fpc/bpc carry distinct estimates); set it explicitly to
      * sweep codec speed (bench/ablation_codec_timing.cc) or to
-     * timing::CodecTiming{} for a provably free unit. Only the
-     * codecCycles / codecChargedWindowCycles fields depend on it; the
-     * serial and windowed link totals never do.
+     * timing::CodecTiming{} for a provably free unit. Only the two
+     * codec fields of the CycleLedger depend on it; the serial and
+     * windowed link totals never do.
      */
     std::optional<timing::CodecTiming> codecTiming;
 
@@ -151,8 +151,10 @@ struct BuddyConfig
     bool verifyReads = false;
 };
 
-/** Aggregated controller statistics. */
-struct BuddyStats
+/** Aggregated controller statistics: traffic plus the cycle ledger
+ *  summed over every executed op (Window fields: per-batch makespans
+ *  summed over batches). */
+struct BuddyStats : CycleLedger
 {
     u64 reads = 0;
     u64 writes = 0;
@@ -160,37 +162,6 @@ struct BuddyStats
     u64 buddySectorTraffic = 0;
     u64 buddyAccesses = 0;  ///< accesses that touched buddy memory
     u64 overflowEntries = 0; ///< current entries spilling to buddy
-    u64 deviceCycles = 0;   ///< simulated cycles charged to the device link
-    u64 buddyCycles = 0;    ///< simulated cycles charged to the buddy link
-
-    /** Windowed-replay device-link makespans, summed over batches
-     *  (BuddyConfig::linkWindow; equals deviceCycles at window 1). */
-    u64 deviceWindowCycles = 0;
-
-    /** Windowed-replay buddy-link makespans, summed over batches. */
-    u64 buddyWindowCycles = 0;
-
-    /**
-     * Combined (cross-link) windowed makespans summed over batches:
-     * per batch, max(device, buddy) link makespan — the two links
-     * drain in parallel (timing/window.h WindowGroup). Under the
-     * engine's per-shard window mode the per-batch value is the N-GPU
-     * makespan (max over shards) instead.
-     */
-    u64 combinedWindowCycles = 0;
-
-    /** Unloaded codec latency charged (AccessInfo::codecCycles sums):
-     *  additive serial occupancy of the inline unit. */
-    u64 codecCycles = 0;
-
-    /**
-     * Codec-charged windowed makespans summed over batches: per batch,
-     * the combined makespan plus the codec time the inline unit could
-     * not hide behind link transfers (equal to combinedWindowCycles
-     * when the codec timing is free). Under the engine's per-shard
-     * window mode: the codec-charged N-GPU makespan.
-     */
-    u64 codecChargedWindowCycles = 0;
 
     /** Fraction of accesses that needed buddy memory. */
     double

@@ -177,11 +177,6 @@ ShardedEngine::attachMetrics(obs::MetricRegistry &registry)
     probes_.deviceSectors = &registry.counter("sim/engine/device_sectors");
     probes_.buddySectors = &registry.counter("sim/engine/buddy_sectors");
     probes_.buddyAccesses = &registry.counter("sim/engine/buddy_accesses");
-    probes_.deviceCycles = &registry.counter("sim/engine/device_cycles");
-    probes_.buddyCycles = &registry.counter("sim/engine/buddy_cycles");
-    // Unloaded codec latency is a pure per-op function like the serial
-    // cycles: sim/ under every mode.
-    probes_.codecCycles = &registry.counter("sim/engine/codec_cycles");
     probes_.batchOps = &registry.histogram("sim/engine/batch_ops");
 
     // Metadata hit/miss is per-shard cache state: reproducible
@@ -190,18 +185,19 @@ ShardedEngine::attachMetrics(obs::MetricRegistry &registry)
     probes_.metadataMisses =
         &registry.counter("shard/engine/metadata_misses");
 
-    // Window totals join sim/ only under Merged mode (the merged-stream
-    // replay); under PerShard they are the N-GPU barrier makespans,
-    // which depend on the sharding by design.
+    // Serial cycle fields are pure per-op functions: sim/ under every
+    // mode. Window fields join sim/ only under Merged mode (the
+    // merged-stream replay); under PerShard they are the N-GPU barrier
+    // makespans, which depend on the sharding by design.
     const std::string wp = mergedMode ? "sim/engine/" : "shard/engine/";
-    probes_.deviceWindowCycles =
-        &registry.counter(wp + "device_window_cycles");
-    probes_.buddyWindowCycles =
-        &registry.counter(wp + "buddy_window_cycles");
-    probes_.combinedWindowCycles =
-        &registry.counter(wp + "combined_window_cycles");
-    probes_.codecChargedWindowCycles =
-        &registry.counter(wp + "codec_charged_window_cycles");
+    probes_.cycles.clear();
+    CycleLedger::forEachField([&](Cycles CycleLedger::*field,
+                                  const char *name, CycleKind kind) {
+        const std::string prefix =
+            kind == CycleKind::Serial ? "sim/engine/" : wp;
+        probes_.cycles.emplace_back(field,
+                                    &registry.counter(prefix + name));
+    });
     probes_.batchMakespan =
         &registry.histogram(wp + "batch_combined_makespan");
     if (mergedMode) {
@@ -371,10 +367,13 @@ ShardedEngine::finish(BatchJob &job)
     AccessBatch &batch = *job.batch;
 
     // Scatter per-op results back into submission order and fold the
-    // per-shard summaries (u64 sums, so the merge is order-independent
-    // and bit-identical to a single-controller run of the same plan).
-    // The window fields are deliberately not summed here: their merge
-    // depends on BuddyConfig::windowMode and happens below.
+    // per-shard summaries (u64 sums and maxima, so the merge is
+    // order-independent). Cycle fields merge by kind: Serial fields sum
+    // (bit-identical to a single-controller run of the same plan);
+    // Window fields take the max over shards under PerShard — the
+    // N-GPU makespan behind the batch's cross-shard barrier — and are
+    // rescheduled over the merged stream below under Merged.
+    const bool perShard = cfg_.shard.windowMode == WindowMode::PerShard;
     BatchSummary merged;
     for (const SubPlan &sp : job.subs) {
         const BatchSummary &s = sp.plan.summary_;
@@ -386,11 +385,13 @@ ShardedEngine::finish(BatchJob &job)
         merged.metadataHits += s.metadataHits;
         merged.metadataMisses += s.metadataMisses;
         merged.buddyAccesses += s.buddyAccesses;
-        merged.deviceCycles += s.deviceCycles;
-        merged.buddyCycles += s.buddyCycles;
-        // Unloaded codec latency is a pure per-op function (like the
-        // serial cycles), so its merge is the plain sum in either mode.
-        merged.codecCycles += s.codecCycles;
+        CycleLedger::forEachField([&](Cycles CycleLedger::*f,
+                                      const char *, CycleKind kind) {
+            if (kind == CycleKind::Serial)
+                merged.*f += s.*f;
+            else if (perShard)
+                merged.*f = std::max(merged.*f, s.*f);
+        });
         for (std::size_t j = 0; j < sp.origIdx.size(); ++j)
             batch.results_[sp.origIdx[j]] = sp.plan.results_[j];
     }
@@ -408,7 +409,7 @@ ShardedEngine::finish(BatchJob &job)
         (probes_.active && probes_.windowOccupancy != nullptr) ||
         observer_ != nullptr;
 
-    if (cfg_.shard.windowMode == WindowMode::Merged) {
+    if (!perShard) {
         // Windowed replay of the merged plan: reschedule the
         // submission-order traffic through one window group — the
         // single-GPU equivalent of the batch. Per-op traffic is a pure
@@ -460,27 +461,16 @@ ShardedEngine::finish(BatchJob &job)
     } else {
         // Per-shard window mode: each shard kept its own MSHR pool over
         // its own links — the per-op window charges the shards computed
-        // (already scattered above) stand. The batch completes at a
-        // cross-shard barrier, so its windowed totals are the max over
-        // the participating shards' makespans: the N-GPU makespan.
-        // Per-shard sub-streams are executed in submission order by one
-        // worker each and max() is order-independent, so these totals
-        // are reproducible run-to-run; at one shard they are
-        // bit-identical to the merged replay (same stream, same
-        // timing), which tests pin.
+        // (already scattered above) stand, and the batch totals are the
+        // max over shards folded above. Per-shard sub-streams are
+        // executed in submission order by one worker each and max() is
+        // order-independent, so these totals are reproducible
+        // run-to-run; at one shard they are bit-identical to the merged
+        // replay (same stream, same timing), which tests pin.
         u64 min_makespan = ~0ull;
         u64 sum_makespan = 0;
         for (const SubPlan &sp : job.subs) {
             const BatchSummary &s = sp.plan.summary_;
-            merged.deviceWindowCycles =
-                std::max(merged.deviceWindowCycles, s.deviceWindowCycles);
-            merged.buddyWindowCycles =
-                std::max(merged.buddyWindowCycles, s.buddyWindowCycles);
-            merged.combinedWindowCycles = std::max(
-                merged.combinedWindowCycles, s.combinedWindowCycles);
-            merged.codecChargedWindowCycles =
-                std::max(merged.codecChargedWindowCycles,
-                         s.codecChargedWindowCycles);
             min_makespan = std::min(min_makespan, s.combinedWindowCycles);
             sum_makespan += s.combinedWindowCycles;
         }
@@ -508,22 +498,16 @@ ShardedEngine::finish(BatchJob &job)
             ++imbalance_.ratioHist[bucket];
         }
     }
-    deviceWindowCycles_.fetch_add(merged.deviceWindowCycles,
-                                  std::memory_order_relaxed);
-    buddyWindowCycles_.fetch_add(merged.buddyWindowCycles,
-                                 std::memory_order_relaxed);
-    combinedWindowCycles_.fetch_add(merged.combinedWindowCycles,
-                                    std::memory_order_relaxed);
-    codecChargedWindowCycles_.fetch_add(merged.codecChargedWindowCycles,
-                                        std::memory_order_relaxed);
     batch.summary_ = merged;
 
-    // Per-tenant accounting: fold the batch's merged summary into the
-    // submitting tenant's totals (untagged batches land under tenant
-    // 0). A tenant's totals thus sum exactly its own batches — the
-    // bookkeeping behind the service layer's isolation contract.
+    // Engine and per-tenant accounting: fold the batch's merged summary
+    // into the engine's cycle ledger and into the submitting tenant's
+    // totals (untagged batches land under tenant 0). A tenant's totals
+    // thus sum exactly its own batches — the bookkeeping behind the
+    // service layer's isolation contract.
     {
         std::lock_guard<std::mutex> lk(accountMutex_);
+        cycles_.addCycles(merged);
         TenantTotals &t = tenantTotals_[batch.tenant()];
         t.summary.accumulate(merged);
         ++t.batches;
@@ -539,17 +523,10 @@ ShardedEngine::finish(BatchJob &job)
             probes_.deviceSectors->add(merged.deviceSectors);
             probes_.buddySectors->add(merged.buddySectors);
             probes_.buddyAccesses->add(merged.buddyAccesses);
-            probes_.deviceCycles->add(merged.deviceCycles);
-            probes_.buddyCycles->add(merged.buddyCycles);
             probes_.metadataHits->add(merged.metadataHits);
             probes_.metadataMisses->add(merged.metadataMisses);
-            probes_.deviceWindowCycles->add(merged.deviceWindowCycles);
-            probes_.buddyWindowCycles->add(merged.buddyWindowCycles);
-            probes_.combinedWindowCycles->add(
-                merged.combinedWindowCycles);
-            probes_.codecCycles->add(merged.codecCycles);
-            probes_.codecChargedWindowCycles->add(
-                merged.codecChargedWindowCycles);
+            for (const auto &[field, counter] : probes_.cycles)
+                counter->add(merged.*field);
             probes_.batchMakespan->add(merged.combinedWindowCycles);
             probes_.batchOps->add(batch.ops_.size());
             if (probes_.windowOccupancy != nullptr) {
@@ -618,22 +595,9 @@ ShardedEngine::stats() const
         total.buddySectorTraffic += st.buddySectorTraffic;
         total.buddyAccesses += st.buddyAccesses;
         total.overflowEntries += st.overflowEntries;
-        total.deviceCycles += st.deviceCycles;
-        total.buddyCycles += st.buddyCycles;
-        total.codecCycles += st.codecCycles;
     }
-    // Windowed totals come from the engine's per-batch accumulation
-    // (merged-stream replay, or per-shard maxima under
-    // WindowMode::PerShard), not from summing the shards' sub-stream
-    // windows (see stats() docs).
-    total.deviceWindowCycles =
-        deviceWindowCycles_.load(std::memory_order_relaxed);
-    total.buddyWindowCycles =
-        buddyWindowCycles_.load(std::memory_order_relaxed);
-    total.combinedWindowCycles =
-        combinedWindowCycles_.load(std::memory_order_relaxed);
-    total.codecChargedWindowCycles =
-        codecChargedWindowCycles_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lk(accountMutex_);
+    static_cast<CycleLedger &>(total) = cycles_;
     return total;
 }
 
@@ -644,11 +608,8 @@ ShardedEngine::clearStats()
     // (tests/test_engine.cc pins reset -> resubmit equality).
     for (auto &s : shards_)
         s->clearStats();
-    deviceWindowCycles_.store(0, std::memory_order_relaxed);
-    buddyWindowCycles_.store(0, std::memory_order_relaxed);
-    combinedWindowCycles_.store(0, std::memory_order_relaxed);
-    codecChargedWindowCycles_.store(0, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lk(accountMutex_);
+    cycles_ = CycleLedger{};
     tenantTotals_.clear();
     imbalance_ = WindowImbalanceStats{};
 }

@@ -49,6 +49,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/access.h"
@@ -232,18 +233,16 @@ class ShardedEngine
      * src/dst buffer it references must stay alive and untouched until
      * the future is ready.
      *
-     * Windowed timing (BuddyConfig::windowMode): under the default
-     * Merged mode, after the serial merge the batch's windowed replay
-     * (BuddyConfig::linkWindow) is rescheduled over the merged
-     * submission-order traffic through one WindowGroup — the single-GPU
-     * equivalent of the plan — so the per-op and summary *WindowCycles
-     * fields do not depend on the shard count or thread scheduling,
-     * exactly like the serial cycle totals (tests/test_engine.cc pins
-     * this). Under PerShard mode each shard's own windows stand (N GPUs,
-     * one MSHR pool each) and the summary window fields carry the max
-     * over the participating shards — the N-GPU makespan behind a
-     * cross-shard barrier; still reproducible run-to-run, and
-     * bit-identical to Merged at one shard.
+     * Cycle fields merge by their CycleKind (api/access.h): Serial
+     * fields sum over shards. Window fields, under the default Merged
+     * mode, are rescheduled over the merged submission-order traffic
+     * through one WindowGroup — the single-GPU equivalent of the plan —
+     * so they do not depend on the shard count or thread scheduling
+     * (tests/test_engine.cc pins this). Under PerShard mode each
+     * shard's own windows stand (N GPUs, one MSHR pool each) and the
+     * summary carries the max over the participating shards — the
+     * N-GPU makespan behind a cross-shard barrier; still reproducible
+     * run-to-run, and bit-identical to Merged at one shard.
      */
     std::future<BatchSummary> submit(AccessBatch &batch);
 
@@ -323,13 +322,11 @@ class ShardedEngine
     const EngineAllocation &allocationFor(Addr va) const;
 
     /**
-     * Merged controller statistics across all shards. The serial
-     * traffic/cycle fields are sums over the per-shard controllers; the
-     * *WindowCycles fields are the engine's own per-batch windowed
-     * totals — the merged submission-order stream's makespans under
-     * WindowMode::Merged, the max-over-shards (N-GPU) makespans under
-     * WindowMode::PerShard — NOT the sum of the shard controllers'
-     * sub-stream windows.
+     * Merged controller statistics across all shards. The traffic
+     * fields are sums over the per-shard controllers; the cycle ledger
+     * is the sum of the merged per-batch summaries, so its Window
+     * fields are the engine's own per-batch makespans (see submit()),
+     * NOT the sum of the shard controllers' sub-stream windows.
      */
     BuddyStats stats() const;
 
@@ -401,7 +398,8 @@ class ShardedEngine
      * Stable-address metric objects resolved once by attachMetrics();
      * folded into under accountMutex_ on batch completion. Window
      * histogram pointers stay null under WindowMode::PerShard (the
-     * shards' own controller metrics carry those there).
+     * shards' own controller metrics carry those there). `cycles`
+     * holds one counter per CycleLedger field.
      */
     struct EngineProbes
     {
@@ -413,15 +411,10 @@ class ShardedEngine
         obs::Counter *deviceSectors = nullptr;
         obs::Counter *buddySectors = nullptr;
         obs::Counter *buddyAccesses = nullptr;
-        obs::Counter *deviceCycles = nullptr;
-        obs::Counter *buddyCycles = nullptr;
         obs::Counter *metadataHits = nullptr;   // shard/ subtree
         obs::Counter *metadataMisses = nullptr; // shard/ subtree
-        obs::Counter *deviceWindowCycles = nullptr;
-        obs::Counter *buddyWindowCycles = nullptr;
-        obs::Counter *combinedWindowCycles = nullptr;
-        obs::Counter *codecCycles = nullptr; // sim/ subtree (serial sum)
-        obs::Counter *codecChargedWindowCycles = nullptr;
+        std::vector<std::pair<Cycles CycleLedger::*, obs::Counter *>>
+            cycles;
         obs::LatencyHistogram *batchMakespan = nullptr;
         obs::LatencyHistogram *batchOps = nullptr;
         obs::LatencyHistogram *windowOccupancy = nullptr; // Merged only
@@ -442,22 +435,12 @@ class ShardedEngine
     TrafficHub hub_;
     std::mutex emitMutex_; ///< serializes engine-level sink emission
 
-    /** Engine-level windowed-replay totals, accumulated per batch in
-     *  finish(): merged-stream makespans under WindowMode::Merged,
-     *  max-over-shards (N-GPU) makespans under WindowMode::PerShard.
-     *  Atomic because batches may finish concurrently — the sums are
-     *  order-independent. Reset by clearStats() symmetrically with the
-     *  stats() merge. */
-    std::atomic<u64> deviceWindowCycles_{0};
-    std::atomic<u64> buddyWindowCycles_{0};
-    std::atomic<u64> combinedWindowCycles_{0};
-    std::atomic<u64> codecChargedWindowCycles_{0};
-
-    /** Guards tenantTotals_ and imbalance_ — finish() runs on worker
-     *  threads, so concurrent batch completions race without it. The
-     *  accumulations are integer sums (and per-batch maxima folded with
-     *  max/min), so the result is completion-order-independent. */
+    /** Guards cycles_, tenantTotals_ and imbalance_ — finish() runs on
+     *  worker threads, so concurrent batch completions race without it.
+     *  The accumulations are integer sums (and per-batch maxima folded
+     *  with max/min), so the result is completion-order-independent. */
     mutable std::mutex accountMutex_;
+    CycleLedger cycles_; ///< Σ merged batch summaries (see stats())
     std::map<u32, TenantTotals> tenantTotals_;
     WindowImbalanceStats imbalance_;
     EngineProbes probes_;

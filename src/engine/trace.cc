@@ -15,18 +15,9 @@ namespace engine {
 namespace {
 
 constexpr u8 kMagic[4] = {'B', 'D', 'Y', 'T'};
-// v2: the footer carries the deviceCycles/buddyCycles link-charge
-// totals after the traffic counters.
-// v3: the footer additionally carries the windowed-replay totals
-// (deviceWindowCycles/buddyWindowCycles).
-// v4: the footer additionally carries the combined (cross-link)
-// windowed makespan total (combinedWindowCycles).
-// v5: the footer additionally carries the inline-unit totals
-// (codecCycles/codecChargedWindowCycles). Older images remain
-// readable: the fields their footers predate load as 0
-// (TraceReplayer::loadedVersion() distinguishes absent from zero).
-constexpr u8 kVersion = kTraceFormatVersion;
-constexpr u8 kOldestReadableVersion = 2;
+// v5: the footer carries every CycleLedger field after the traffic
+// counters. No other version is read.
+constexpr u8 kVersion = 5;
 constexpr u8 kTagZeroWrite = 0x10;
 constexpr u8 kTagBatch = 0xFE;
 constexpr u8 kTagFooter = 0xFF;
@@ -110,7 +101,7 @@ struct Reader
 };
 
 void
-putTotals(std::vector<u8> &out, const TraceTotals &t, u8 version)
+putTotals(std::vector<u8> &out, const TraceTotals &t)
 {
     putVarint(out, t.summary.reads);
     putVarint(out, t.summary.writes);
@@ -120,23 +111,15 @@ putTotals(std::vector<u8> &out, const TraceTotals &t, u8 version)
     putVarint(out, t.summary.metadataHits);
     putVarint(out, t.summary.metadataMisses);
     putVarint(out, t.summary.buddyAccesses);
-    putVarint(out, t.summary.deviceCycles);
-    putVarint(out, t.summary.buddyCycles);
-    if (version >= 3) {
-        putVarint(out, t.summary.deviceWindowCycles);
-        putVarint(out, t.summary.buddyWindowCycles);
-    }
-    if (version >= 4)
-        putVarint(out, t.summary.combinedWindowCycles);
-    if (version >= 5) {
-        putVarint(out, t.summary.codecCycles);
-        putVarint(out, t.summary.codecChargedWindowCycles);
-    }
+    CycleLedger::forEachField(
+        [&](Cycles CycleLedger::*f, const char *, CycleKind) {
+            putVarint(out, t.summary.*f);
+        });
     putVarint(out, t.batches);
 }
 
 TraceTotals
-readTotals(Reader &r, u8 version)
+readTotals(Reader &r)
 {
     TraceTotals t;
     t.summary.reads = r.varint();
@@ -147,18 +130,10 @@ readTotals(Reader &r, u8 version)
     t.summary.metadataHits = r.varint();
     t.summary.metadataMisses = r.varint();
     t.summary.buddyAccesses = r.varint();
-    t.summary.deviceCycles = r.varint();
-    t.summary.buddyCycles = r.varint();
-    if (version >= 3) {
-        t.summary.deviceWindowCycles = r.varint();
-        t.summary.buddyWindowCycles = r.varint();
-    }
-    if (version >= 4)
-        t.summary.combinedWindowCycles = r.varint();
-    if (version >= 5) {
-        t.summary.codecCycles = r.varint();
-        t.summary.codecChargedWindowCycles = r.varint();
-    }
+    CycleLedger::forEachField(
+        [&](Cycles CycleLedger::*f, const char *, CycleKind) {
+            t.summary.*f = r.varint();
+        });
     t.batches = r.varint();
     return t;
 }
@@ -221,25 +196,11 @@ TraceRecorderSink::onBatch(const BatchSummary &summary)
 }
 
 std::vector<u8>
-TraceRecorderSink::serialize(unsigned version, bool allowLossyDowngrade) const
+TraceRecorderSink::serialize() const
 {
-    BUDDY_CHECK(version >= kOldestReadableVersion && version <= kVersion,
-                "unsupported trace serialization version");
-    // A pre-v5 footer has nowhere to put the codec totals. Dropping
-    // them is loss-free exactly when the capture charged no codec time:
-    // codecCycles is 0 and the charged makespan collapsed onto the
-    // combined one (a free unit leaves it equal, so it reconstructs
-    // from the surviving v4 field). Anything else silently corrupts
-    // the capture's accounting, so the caller must opt in explicitly.
-    BUDDY_CHECK(version >= 5 || allowLossyDowngrade ||
-                    (totals_.summary.codecCycles == 0 &&
-                     totals_.summary.codecChargedWindowCycles ==
-                         totals_.summary.combinedWindowCycles),
-                "serializing nonzero codec totals to a pre-v5 trace "
-                "drops them; pass allowLossyDowngrade to accept the loss");
     std::vector<u8> out;
     out.insert(out.end(), kMagic, kMagic + 4);
-    out.push_back(static_cast<u8>(version));
+    out.push_back(kVersion);
     putVarint(out, allocs_.size());
     for (const TraceAllocation &a : allocs_) {
         putVarint(out, a.name.size());
@@ -250,7 +211,7 @@ TraceRecorderSink::serialize(unsigned version, bool allowLossyDowngrade) const
     }
     out.insert(out.end(), stream_.begin(), stream_.end());
     out.push_back(kTagFooter);
-    putTotals(out, totals_, static_cast<u8>(version));
+    putTotals(out, totals_);
     return out;
 }
 
@@ -297,15 +258,12 @@ TraceReplayer::loadImage(std::vector<u8> image)
     batches_.clear();
     ops_ = 0;
     recorded_ = TraceTotals{};
-    loadedVersion_ = 0;
 
     Reader r{image_};
     BUDDY_CHECK(std::memcmp(r.raw(4), kMagic, 4) == 0,
                 "not a buddy trace (bad magic)");
     const u8 version = r.byte();
-    BUDDY_CHECK(version >= kOldestReadableVersion && version <= kVersion,
-                "unsupported trace version");
-    loadedVersion_ = version;
+    BUDDY_CHECK(version == kVersion, "unsupported trace version");
 
     const u64 alloc_count = r.varint();
     // Each allocation record occupies at least 4 bytes (empty name:
@@ -330,7 +288,7 @@ TraceReplayer::loadImage(std::vector<u8> image)
     for (;;) {
         const u8 tag = r.byte();
         if (tag == kTagFooter) {
-            recorded_ = readTotals(r, version);
+            recorded_ = readTotals(r);
             BUDDY_CHECK(r.atEnd(), "trailing bytes after trace footer");
             BUDDY_CHECK(batch.empty(),
                         "trace ends inside an unterminated batch");

@@ -224,30 +224,24 @@ struct ServiceReport
 
 /**
  * Compare two accumulated summaries on the isolation-contract subset:
- * the functional totals (traffic counters and serial LinkModel cycles)
- * that are pure per-batch functions of the plan, plus — when
- * @p windowed — the windowed-replay totals, which join the contract
- * only under WindowMode::Merged (pass false under PerShard, where the
- * sub-stream split depends on co-tenant placement). metadataHits and
- * metadataMisses are deliberately never compared: they are shared
- * per-shard cache state, the one observable form of cross-tenant
- * interference the service mode permits.
+ * the traffic counters and the Serial CycleLedger fields, which are
+ * pure per-batch functions of the plan, plus — when @p windowed — the
+ * Window fields, which join the contract only under WindowMode::Merged
+ * (pass false under PerShard, where the sub-stream split depends on
+ * co-tenant placement). metadataHits and metadataMisses are
+ * deliberately never compared: they are shared per-shard cache state,
+ * the one observable form of cross-tenant interference the service
+ * mode permits.
  */
 inline bool
 isolationEqual(const BatchSummary &a, const BatchSummary &b,
                bool windowed = true)
 {
-    const bool functional =
-        a.reads == b.reads && a.writes == b.writes &&
-        a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
-        a.buddySectors == b.buddySectors &&
-        a.buddyAccesses == b.buddyAccesses &&
-        a.deviceCycles == b.deviceCycles && a.buddyCycles == b.buddyCycles;
-    if (!functional || !windowed)
-        return functional;
-    return a.deviceWindowCycles == b.deviceWindowCycles &&
-           a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles;
+    return a.reads == b.reads && a.writes == b.writes &&
+           a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
+           a.buddySectors == b.buddySectors &&
+           a.buddyAccesses == b.buddyAccesses &&
+           a.sameCycles(b, windowed);
 }
 
 /**

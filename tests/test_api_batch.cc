@@ -43,14 +43,16 @@ mixedEntries(std::size_t count, u64 seed)
     return entries;
 }
 
+/** Traffic plus the Serial cycle fields. Window fields differ by
+ *  design: a batch overlaps its ops in one window, while each single-op
+ *  call runs in a fresh one. */
 bool
 sameInfo(const AccessInfo &a, const AccessInfo &b)
 {
     return a.deviceSectors == b.deviceSectors &&
            a.buddySectors == b.buddySectors &&
            a.metadataHit == b.metadataHit &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles;
+           a.sameCycles(b, /*windowed=*/false);
 }
 
 bool
@@ -61,8 +63,7 @@ sameStats(const BuddyStats &a, const BuddyStats &b)
            a.buddySectorTraffic == b.buddySectorTraffic &&
            a.buddyAccesses == b.buddyAccesses &&
            a.overflowEntries == b.overflowEntries &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles;
+           a.sameCycles(b, /*windowed=*/false);
 }
 
 TEST(AccessBatch, BatchedWritesReadsProbesMatchSingleEntryCalls)

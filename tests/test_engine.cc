@@ -84,12 +84,7 @@ sameInfo(const AccessInfo &a, const AccessInfo &b)
 {
     return a.deviceSectors == b.deviceSectors &&
            a.buddySectors == b.buddySectors &&
-           a.metadataHit == b.metadataHit &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles &&
-           a.deviceWindowCycles == b.deviceWindowCycles &&
-           a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles;
+           a.metadataHit == b.metadataHit && a.sameCycles(b);
 }
 
 bool
@@ -100,12 +95,7 @@ sameSummary(const BatchSummary &a, const BatchSummary &b)
            a.buddySectors == b.buddySectors &&
            a.metadataHits == b.metadataHits &&
            a.metadataMisses == b.metadataMisses &&
-           a.buddyAccesses == b.buddyAccesses &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles &&
-           a.deviceWindowCycles == b.deviceWindowCycles &&
-           a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles;
+           a.buddyAccesses == b.buddyAccesses && a.sameCycles(b);
 }
 
 bool
@@ -115,12 +105,7 @@ sameStats(const BuddyStats &a, const BuddyStats &b)
            a.deviceSectorTraffic == b.deviceSectorTraffic &&
            a.buddySectorTraffic == b.buddySectorTraffic &&
            a.buddyAccesses == b.buddyAccesses &&
-           a.overflowEntries == b.overflowEntries &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles &&
-           a.deviceWindowCycles == b.deviceWindowCycles &&
-           a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles;
+           a.overflowEntries == b.overflowEntries && a.sameCycles(b);
 }
 
 TEST(ShardedEngine, MergedResultsMatchSingleControllerBitForBit)

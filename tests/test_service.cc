@@ -51,7 +51,7 @@ tenantSeed(std::size_t i)
     return engine::splitmix64(0xabcdull + i);
 }
 
-/** Full 13-field equality (stricter than the isolation subset). */
+/** Full equality (stricter than the isolation subset). */
 bool
 sameSummary(const BatchSummary &a, const BatchSummary &b)
 {
@@ -140,6 +140,37 @@ TEST(Service, TenantTotalsMatchSoloReplayUnderContention)
             EXPECT_EQ(it->second.batches, tr.batches);
         }
     }
+}
+
+// isolationEqual derives its field set from the CycleLedger kinds:
+// every Serial field always counts, every Window field counts exactly
+// when windowed, and metadata hit/miss never counts.
+TEST(Service, IsolationEqualComparesEveryLedgerFieldByKind)
+{
+    BatchSummary base;
+    base.reads = 3;
+    base.deviceSectors = 7;
+    base.metadataHits = 2;
+    CycleLedger::forEachField(
+        [&](Cycles CycleLedger::*f, const char *, CycleKind) {
+            base.*f = 100;
+        });
+    ASSERT_TRUE(isolationEqual(base, base, true));
+
+    CycleLedger::forEachField([&](Cycles CycleLedger::*f, const char *name,
+                                  CycleKind kind) {
+        BatchSummary perturbed = base;
+        perturbed.*f += 1;
+        EXPECT_FALSE(isolationEqual(base, perturbed, true)) << name;
+        EXPECT_EQ(isolationEqual(base, perturbed, false),
+                  kind == CycleKind::Window)
+            << name;
+    });
+
+    BatchSummary cache = base;
+    ++cache.metadataHits;
+    ++cache.metadataMisses;
+    EXPECT_TRUE(isolationEqual(base, cache, true));
 }
 
 // The isolation contract holds under every QoS policy — admission

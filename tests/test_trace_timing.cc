@@ -7,19 +7,15 @@
  * linearly (the VA translation is hoisted out of the repeat loop), and
  * a fuzz loop with randomized batch shapes, link windows, and window
  * modes must round-trip traces through the replayer against timed
- * engines, logging the seed on any failure. Format compatibility is
- * pinned across versions: v2 images load with zero windowed totals,
- * serialize(3) drops only the v4 combined (cross-link) total,
- * serialize(4) drops only the v5 codec totals, downgrades that would
- * silently drop *nonzero* codec totals are fatal without the explicit
- * allowLossyDowngrade opt-in, and a capture replays under either window
- * mode and any W. Comparisons against downgraded footers go through the
- * version-aware sameSummary overload, which skips fields the footer
- * never carried instead of comparing dropped data against zero.
+ * engines, logging the seed on any failure. The format is pinned: the
+ * footer round-trips every CycleLedger field, a fixed capture
+ * serializes to golden v5 bytes, every other version is rejected on
+ * load, and a capture replays under either window mode and any W.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -42,42 +38,22 @@ timedEngineConfig(unsigned shards, const std::string &buddy_backend)
     return cfg;
 }
 
-/**
- * Field-wise summary equality, honouring what a footer of @p version
- * actually carried: fields newer than the version are skipped
- * explicitly (they read back as 0 from such a footer, and comparing
- * dropped data against a live total would be a silent lie). The default
- * compares every field — two current-format summaries.
- */
+/** Field-wise summary equality. */
 bool
-sameSummary(const BatchSummary &a, const BatchSummary &b,
-            unsigned version = engine::kTraceFormatVersion)
+sameSummary(const BatchSummary &a, const BatchSummary &b)
 {
-    bool same = a.reads == b.reads && a.writes == b.writes &&
-                a.probes == b.probes &&
-                a.deviceSectors == b.deviceSectors &&
-                a.buddySectors == b.buddySectors &&
-                a.metadataHits == b.metadataHits &&
-                a.metadataMisses == b.metadataMisses &&
-                a.buddyAccesses == b.buddyAccesses &&
-                a.deviceCycles == b.deviceCycles &&
-                a.buddyCycles == b.buddyCycles;
-    if (version >= 3)
-        same = same && a.deviceWindowCycles == b.deviceWindowCycles &&
-               a.buddyWindowCycles == b.buddyWindowCycles;
-    if (version >= 4)
-        same = same && a.combinedWindowCycles == b.combinedWindowCycles;
-    if (version >= 5)
-        same = same && a.codecCycles == b.codecCycles &&
-               a.codecChargedWindowCycles == b.codecChargedWindowCycles;
-    return same;
+    return a.reads == b.reads && a.writes == b.writes &&
+           a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
+           a.buddySectors == b.buddySectors &&
+           a.metadataHits == b.metadataHits &&
+           a.metadataMisses == b.metadataMisses &&
+           a.buddyAccesses == b.buddyAccesses && a.sameCycles(b);
 }
 
 /** Record a mixed write+read+probe workload; return the trace image. */
 std::vector<u8>
 recordWorkload(ShardedEngine &eng, std::size_t entries, u64 seed,
-               TraceTotals *totals_out = nullptr,
-               TraceRecorderSink *recorder_out = nullptr)
+               TraceTotals *totals_out = nullptr)
 {
     TraceRecorderSink recorder;
     eng.attachSink(&recorder);
@@ -118,8 +94,6 @@ recordWorkload(ShardedEngine &eng, std::size_t entries, u64 seed,
 
     if (totals_out != nullptr)
         *totals_out = recorder.totals();
-    if (recorder_out != nullptr)
-        *recorder_out = recorder;
     return recorder.serialize();
 }
 
@@ -246,184 +220,11 @@ TEST(TraceTiming, WindowedReplayRoundTripsAtSeveralWindows)
               serial.summary.windowTotalCycles());
 }
 
-TEST(TraceTiming, V2ImagesRemainReadable)
-{
-    // A pre-window (v2) footer must still load: the windowed totals
-    // read as zero and the capture replays normally.
-    EngineConfig cfg = timedEngineConfig(2, "host-um");
-    cfg.shard.linkWindow = 8;
-    ShardedEngine rec(cfg);
-    TraceRecorderSink recorder;
-    rec.attachSink(&recorder);
-
-    const auto id = rec.allocate("a", 256 * kEntryBytes,
-                                 CompressionTarget::Ratio2);
-    ASSERT_TRUE(id.has_value());
-    const EngineAllocation &ea = rec.allocations().at(*id);
-    recorder.noteAllocation(ea.name, ea.va, ea.bytes, ea.target);
-
-    Rng rng(5);
-    std::vector<u8> data(256 * kEntryBytes);
-    for (std::size_t e = 0; e < 256; ++e)
-        fillBucketEntry(rng, static_cast<unsigned>(e % kPatternBuckets),
-                        data.data() + e * kEntryBytes);
-    AccessBatch w;
-    for (std::size_t e = 0; e < 256; ++e)
-        w.write(ea.va + e * kEntryBytes, data.data() + e * kEntryBytes);
-    rec.execute(w);
-    rec.detachSink(&recorder);
-    EXPECT_GT(recorder.totals().summary.deviceWindowCycles, 0u);
-
-    // The default bpc codec timing is nonzero, so the capture carries
-    // nonzero codec totals and the v2 downgrade needs the explicit
-    // data-loss opt-in.
-    EXPECT_GT(recorder.totals().summary.codecCycles, 0u);
-    TraceReplayer replayer;
-    replayer.loadImage(
-        recorder.serialize(2, /*allowLossyDowngrade=*/true));
-    EXPECT_EQ(replayer.opCount(), recorder.opCount());
-    EXPECT_EQ(replayer.loadedVersion(), 2u);
-    EXPECT_FALSE(replayer.hasWindowTotals());
-    EXPECT_FALSE(replayer.hasCombinedTotal());
-    EXPECT_FALSE(replayer.hasCodecTotals());
-
-    // v2 footers predate the windowed totals: they load as zero while
-    // the serial fields survive.
-    const BatchSummary &loaded = replayer.recordedTotals().summary;
-    EXPECT_EQ(loaded.deviceWindowCycles, 0u);
-    EXPECT_EQ(loaded.buddyWindowCycles, 0u);
-    EXPECT_EQ(loaded.combinedWindowCycles, 0u);
-    EXPECT_EQ(loaded.codecCycles, 0u);
-    EXPECT_EQ(loaded.codecChargedWindowCycles, 0u);
-    EXPECT_EQ(loaded.deviceCycles, recorder.totals().summary.deviceCycles);
-    EXPECT_EQ(loaded.buddyCycles, recorder.totals().summary.buddyCycles);
-    EXPECT_TRUE(sameSummary(loaded, recorder.totals().summary,
-                            replayer.loadedVersion()));
-
-    // The op stream is version-independent: the replay reproduces the
-    // full totals, windowed fields included.
-    ShardedEngine fresh(cfg);
-    const TraceTotals replayed = replayer.replay(fresh);
-    EXPECT_TRUE(
-        sameSummary(replayed.summary, recorder.totals().summary));
-}
-
-TEST(TraceTiming, V3DowngradeDropsOnlyTheCombinedTotal)
-{
-    // serialize(3) is the downgrade hook for pre-v4 consumers: the
-    // per-link windowed totals survive, the combined (cross-link)
-    // makespan loads as zero, and the op stream still replays to the
-    // full totals on a fresh target.
-    EngineConfig cfg = timedEngineConfig(2, "remote");
-    cfg.shard.linkWindow = 4;
-    ShardedEngine rec(cfg);
-    TraceTotals recorded;
-    TraceRecorderSink recorder;
-    recordWorkload(rec, 512, 29, &recorded, &recorder);
-    EXPECT_GT(recorded.summary.combinedWindowCycles, 0u);
-
-    TraceReplayer v3;
-    v3.loadImage(recorder.serialize(3, /*allowLossyDowngrade=*/true));
-    EXPECT_EQ(v3.opCount(), recorder.opCount());
-    EXPECT_EQ(v3.loadedVersion(), 3u);
-    EXPECT_TRUE(v3.hasWindowTotals());
-    EXPECT_FALSE(v3.hasCombinedTotal());
-    EXPECT_FALSE(v3.hasCodecTotals());
-    const BatchSummary &loaded = v3.recordedTotals().summary;
-    EXPECT_EQ(loaded.combinedWindowCycles, 0u);
-    EXPECT_EQ(loaded.deviceWindowCycles,
-              recorded.summary.deviceWindowCycles);
-    EXPECT_EQ(loaded.buddyWindowCycles,
-              recorded.summary.buddyWindowCycles);
-    EXPECT_EQ(loaded.deviceCycles, recorded.summary.deviceCycles);
-    EXPECT_TRUE(
-        sameSummary(loaded, recorded.summary, v3.loadedVersion()));
-
-    ShardedEngine fresh(cfg);
-    const TraceTotals replayed = v3.replay(fresh);
-    EXPECT_TRUE(sameSummary(replayed.summary, recorded.summary));
-}
-
-TEST(TraceTiming, V4DowngradeDropsOnlyTheCodecTotals)
-{
-    // serialize(4) is the downgrade hook for pre-v5 consumers: every
-    // link and window total survives, only the codec totals load as
-    // zero, and the op stream still replays to the full totals —
-    // including the codec ones, recomputed by the target.
-    EngineConfig cfg = timedEngineConfig(2, "remote");
-    cfg.shard.linkWindow = 4;
-    ShardedEngine rec(cfg);
-    TraceTotals recorded;
-    TraceRecorderSink recorder;
-    recordWorkload(rec, 512, 43, &recorded, &recorder);
-    EXPECT_GT(recorded.summary.codecCycles, 0u);
-    EXPECT_GT(recorded.summary.codecChargedWindowCycles, 0u);
-
-    TraceReplayer v4;
-    v4.loadImage(recorder.serialize(4, /*allowLossyDowngrade=*/true));
-    EXPECT_EQ(v4.opCount(), recorder.opCount());
-    EXPECT_EQ(v4.loadedVersion(), 4u);
-    EXPECT_TRUE(v4.hasWindowTotals());
-    EXPECT_TRUE(v4.hasCombinedTotal());
-    EXPECT_FALSE(v4.hasCodecTotals());
-    const BatchSummary &loaded = v4.recordedTotals().summary;
-    EXPECT_EQ(loaded.codecCycles, 0u);
-    EXPECT_EQ(loaded.codecChargedWindowCycles, 0u);
-    EXPECT_EQ(loaded.combinedWindowCycles,
-              recorded.summary.combinedWindowCycles);
-    EXPECT_TRUE(
-        sameSummary(loaded, recorded.summary, v4.loadedVersion()));
-
-    ShardedEngine fresh(cfg);
-    const TraceTotals replayed = v4.replay(fresh);
-    EXPECT_TRUE(sameSummary(replayed.summary, recorded.summary));
-    EXPECT_EQ(replayed.summary.codecCycles, recorded.summary.codecCycles);
-}
-
-TEST(TraceTiming, LossyCodecDowngradeWithoutOptInDies)
-{
-    // Serializing a capture with nonzero codec totals to any pre-v5
-    // version silently drops them — fatal unless the caller accepts the
-    // loss explicitly. The opt-in path is exercised by the downgrade
-    // tests above; here the guard itself is pinned.
-    ShardedEngine rec(timedEngineConfig(2, "remote"));
-    TraceTotals recorded;
-    TraceRecorderSink recorder;
-    recordWorkload(rec, 256, 47, &recorded, &recorder);
-    ASSERT_GT(recorded.summary.codecCycles, 0u);
-
-    EXPECT_DEATH({ recorder.serialize(4); }, "pre-v5");
-    EXPECT_DEATH({ recorder.serialize(2); }, "allowLossyDowngrade");
-}
-
-TEST(TraceTiming, FreeCodecCaptureDowngradesWithoutOptIn)
-{
-    // With an explicitly free codec unit the capture's codec totals are
-    // zero, so a pre-v5 footer drops nothing: the downgrade needs no
-    // opt-in and the loaded summary matches field-for-field at the
-    // downgraded version.
-    EngineConfig cfg = timedEngineConfig(2, "remote");
-    cfg.shard.codecTiming = timing::CodecTiming{};
-    ShardedEngine rec(cfg);
-    TraceTotals recorded;
-    TraceRecorderSink recorder;
-    recordWorkload(rec, 256, 53, &recorded, &recorder);
-    EXPECT_EQ(recorded.summary.codecCycles, 0u);
-    // The free unit's charged frontier tracks the combined one exactly.
-    EXPECT_EQ(recorded.summary.codecChargedWindowCycles,
-              recorded.summary.combinedWindowCycles);
-
-    TraceReplayer v4;
-    v4.loadImage(recorder.serialize(4)); // no opt-in needed
-    EXPECT_TRUE(sameSummary(v4.recordedTotals().summary, recorded.summary,
-                            v4.loadedVersion()));
-}
-
 TEST(TraceTiming, CodecTotalsRoundTripThroughV5Images)
 {
     // The current format round-trips the codec totals: the footer
-    // carries them, the replayer reports them present, and an
-    // identically-configured replay reproduces them bit-for-bit.
+    // carries them and an identically-configured replay reproduces them
+    // bit-for-bit.
     EngineConfig cfg = timedEngineConfig(2, "remote");
     cfg.shard.linkWindow = 4;
     ShardedEngine rec(cfg);
@@ -435,8 +236,6 @@ TEST(TraceTiming, CodecTotalsRoundTripThroughV5Images)
 
     TraceReplayer replayer;
     replayer.loadImage(image);
-    EXPECT_EQ(replayer.loadedVersion(), engine::kTraceFormatVersion);
-    EXPECT_TRUE(replayer.hasCodecTotals());
     EXPECT_TRUE(sameSummary(replayer.recordedTotals().summary,
                             recorded.summary));
 
@@ -445,6 +244,113 @@ TEST(TraceTiming, CodecTotalsRoundTripThroughV5Images)
     EXPECT_EQ(replayed.summary.codecCycles, recorded.summary.codecCycles);
     EXPECT_EQ(replayed.summary.codecChargedWindowCycles,
               recorded.summary.codecChargedWindowCycles);
+}
+
+/**
+ * A fixed two-op capture whose single batch summary gives every
+ * CycleLedger field a distinct nonzero value. The values are set by
+ * name, so the golden bytes below pin which field sits where in the
+ * footer, not just that the visitor agrees with itself.
+ */
+TraceRecorderSink
+ledgerCapture()
+{
+    TraceRecorderSink recorder;
+    recorder.noteAllocation("g", 0x10000000ull, 4096,
+                            CompressionTarget::Ratio2);
+    api::AccessEvent write;
+    write.kind = AccessKind::Write;
+    write.va = 0x10000000ull;
+    write.isZero = true;
+    recorder.onAccess(write);
+    api::AccessEvent probe;
+    probe.kind = AccessKind::Probe;
+    probe.va = 0x10000080ull;
+    recorder.onAccess(probe);
+
+    BatchSummary s;
+    s.writes = 1;
+    s.probes = 1;
+    s.deviceSectors = 3;
+    s.buddySectors = 1;
+    s.metadataHits = 1;
+    s.metadataMisses = 1;
+    s.buddyAccesses = 1;
+    s.deviceCycles = 1001;
+    s.buddyCycles = 2002;
+    s.deviceWindowCycles = 3003;
+    s.buddyWindowCycles = 4004;
+    s.combinedWindowCycles = 5005;
+    s.codecCycles = 6006;
+    s.codecChargedWindowCycles = 7007;
+    recorder.onBatch(s);
+    return recorder;
+}
+
+TEST(CycleLedger, FooterRoundTripsEveryField)
+{
+    const TraceRecorderSink recorder = ledgerCapture();
+    TraceReplayer replayer;
+    replayer.loadImage(recorder.serialize());
+    const BatchSummary &loaded = replayer.recordedTotals().summary;
+    std::set<Cycles> seen;
+    CycleLedger::forEachField(
+        [&](Cycles CycleLedger::*f, const char *name, CycleKind) {
+            const Cycles value = recorder.totals().summary.*f;
+            EXPECT_NE(value, 0u) << name;
+            EXPECT_TRUE(seen.insert(value).second) << name;
+            EXPECT_EQ(loaded.*f, value) << name;
+        });
+    EXPECT_TRUE(sameSummary(loaded, recorder.totals().summary));
+}
+
+TEST(CycleLedger, V5ImageBytesArePinned)
+{
+    // The v5 image of ledgerCapture(), footer included, as the format
+    // wrote it before the cycle fields moved into CycleLedger: ledger
+    // order is footer order, and the bytes must never drift.
+    const std::vector<u8> golden = {
+        0x42, 0x44, 0x59, 0x54, 0x05, 0x01, 0x01, 0x67, 0x80, 0x80,
+        0x80, 0x01, 0x80, 0x20, 0x02, 0x11, 0x80, 0x80, 0x80, 0x01,
+        0x02, 0x81, 0x80, 0x80, 0x01, 0xfe, 0x02, 0xff, 0x00, 0x01,
+        0x01, 0x03, 0x01, 0x01, 0x01, 0x01, 0xe9, 0x07, 0xd2, 0x0f,
+        0xbb, 0x17, 0xa4, 0x1f, 0x8d, 0x27, 0xf6, 0x2e, 0xdf, 0x36,
+        0x01,
+    };
+    EXPECT_EQ(ledgerCapture().serialize(), golden);
+}
+
+TEST(CycleLedger, EngineRegistersACounterPerField)
+{
+    // Serial fields are shard-invariant under every mode (sim/); Window
+    // fields are sim/ only under Merged and shard/ under PerShard. Each
+    // counter must carry the engine's stats() total of its field.
+    for (const WindowMode mode : {WindowMode::Merged, WindowMode::PerShard}) {
+        const bool merged = mode == WindowMode::Merged;
+        SCOPED_TRACE(merged ? "merged" : "per-shard");
+        EngineConfig cfg = timedEngineConfig(2, "remote");
+        cfg.shard.linkWindow = 4;
+        cfg.shard.windowMode = mode;
+        ShardedEngine eng(cfg);
+        obs::MetricRegistry registry;
+        eng.attachMetrics(registry);
+        recordWorkload(eng, 256, 61);
+
+        const obs::MetricSnapshot snap = registry.snapshot();
+        const BuddyStats stats = eng.stats();
+        CycleLedger::forEachField([&](Cycles CycleLedger::*f,
+                                      const char *name, CycleKind kind) {
+            const bool sim = kind == CycleKind::Serial || merged;
+            const std::string here =
+                std::string(sim ? "sim/engine/" : "shard/engine/") + name;
+            const std::string other =
+                std::string(sim ? "shard/engine/" : "sim/engine/") + name;
+            ASSERT_EQ(snap.counters.count(here), 1u) << here;
+            EXPECT_EQ(snap.counters.count(other), 0u) << other;
+            EXPECT_GT(stats.*f, 0u) << name;
+            EXPECT_EQ(snap.counters.at(here), stats.*f) << here;
+        });
+    }
 }
 
 TEST(TraceTiming, ReplayUnderEitherWindowModeAndAnyWindow)
@@ -643,10 +549,13 @@ TEST(TraceCorruption, EmptyImageDies)
 TEST(TraceCorruption, UnsupportedVersionDies)
 {
     std::vector<u8> image = validImage();
-    image[4] = 99;
-    EXPECT_DEATH(loadBytes(image), "unsupported trace version");
-    image[4] = 1; // pre-oldest-readable
-    EXPECT_DEATH(loadBytes(image), "unsupported trace version");
+    // Only v5 is read: the v2-v4 footers carried a prefix of the cycle
+    // ledger and are rejected like any unknown version.
+    for (const u8 version : {0, 1, 2, 3, 4, 6, 99}) {
+        image[4] = version;
+        EXPECT_DEATH(loadBytes(image), "unsupported trace version")
+            << "version " << unsigned{version};
+    }
 }
 
 TEST(TraceCorruption, TruncatedFooterDies)
