@@ -6,6 +6,10 @@
  * quantization, and the metadata cache — the ablation backing the
  * Section 2.4 algorithm choice and the buddy::api batching design.
  *
+ * The DecompressFrom rows time decode alone, from a payload encoded
+ * once up front: reads dominate the read-heavy workloads, so decode is
+ * measured apart from the round trip.
+ *
  * Before the google-benchmark suite runs, main() prints a headline
  * comparison: entries/s through the legacy per-entry compress() API
  * (one heap-allocated CompressionResult per entry, the seed's hot path)
@@ -19,8 +23,8 @@
 #include <cstring>
 #include <vector>
 
+#include "../tests/codec_oracle.h"
 #include "api/codec_registry.h"
-#include "common/bitstream.h"
 #include "common/rng.h"
 #include "compress/bpc.h"
 #include "compress/sector.h"
@@ -75,6 +79,26 @@ BM_CompressInto(benchmark::State &state, const char *codec_name,
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             codec->compressInto(buf, scratch.encode, scratch));
+    }
+    state.SetBytesProcessed(
+        static_cast<i64>(state.iterations() * kEntryBytes));
+}
+
+void
+BM_DecompressFrom(benchmark::State &state, const char *codec_name,
+                  int data_class)
+{
+    const auto codec = api::CodecRegistry::instance().create(codec_name);
+    Rng rng(1234);
+    u8 buf[kEntryBytes], out[kEntryBytes];
+    fillClass(rng, data_class, buf);
+    CompressionScratch scratch;
+    const std::size_t bits =
+        codec->compressInto(buf, scratch.encode, scratch);
+    for (auto _ : state) {
+        codec->decompressFrom(scratch.encode, bits, out);
+        benchmark::DoNotOptimize(out);
+        benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(
         static_cast<i64>(state.iterations() * kEntryBytes));
@@ -166,12 +190,15 @@ BM_MetadataCache(benchmark::State &state)
 
 // --------------------------------------------------------------------
 // Frozen copy of the seed's per-entry BPC encoder (pre-batching
-// implementation): dynamic BitWriter, eager full-plane transpose,
-// per-bit emission, one heap-allocated CompressionResult per entry.
-// Kept verbatim as the baseline the batched access plan is measured
-// against; not part of the library.
+// implementation): dynamic bit-serial BitWriter (the reference copy in
+// tests/codec_oracle.h), eager full-plane transpose, per-bit emission,
+// one heap-allocated CompressionResult per entry. Kept verbatim as the
+// baseline the batched access plan is measured against; not part of the
+// library.
 // --------------------------------------------------------------------
 namespace seed_reference {
+
+using oracle::BitWriter;
 
 constexpr u64 kPlaneMask = (1ull << BpcCompressor::kPlaneBits) - 1;
 constexpr u64 kDeltaMask = (1ull << BpcCompressor::kPlanes) - 1;
@@ -397,6 +424,15 @@ BENCHMARK_CAPTURE(BM_CompressInto, bdi_smooth, "bdi", 1);
 BENCHMARK_CAPTURE(BM_CompressInto, bdi_random, "bdi", 2);
 BENCHMARK_CAPTURE(BM_CompressInto, fpc_smooth, "fpc", 1);
 BENCHMARK_CAPTURE(BM_CompressInto, zero_zero, "zero", 0);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bpc_zero, "bpc", 0);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bpc_smooth, "bpc", 1);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bpc_random, "bpc", 2);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bdi_zero, "bdi", 0);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bdi_smooth, "bdi", 1);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bdi_random, "bdi", 2);
+BENCHMARK_CAPTURE(BM_DecompressFrom, fpc_zero, "fpc", 0);
+BENCHMARK_CAPTURE(BM_DecompressFrom, fpc_smooth, "fpc", 1);
+BENCHMARK_CAPTURE(BM_DecompressFrom, fpc_random, "fpc", 2);
 BENCHMARK_CAPTURE(BM_RoundTrip, bpc, "bpc");
 BENCHMARK_CAPTURE(BM_RoundTrip, bdi, "bdi");
 BENCHMARK_CAPTURE(BM_RoundTrip, fpc, "fpc");

@@ -69,9 +69,10 @@ enum class CycleKind : u8 {
 /**
  * The simulated-cycle charges of one access, one batch, or a run. This
  * is the single definition of the cycle fields: AccessInfo, BatchSummary
- * and BuddyStats inherit it, and every fold, comparison, metric and
- * trace-footer field walks forEachField(), so a new cycle field is one
- * member plus one forEachField() line (plus the code that produces it).
+ * and BuddyStats inherit it, and every fold, comparison, metric,
+ * trace-footer field and Chrome-trace batch span walks forEachField(),
+ * so a new cycle field is one member plus one forEachField() line (plus
+ * the code that produces it).
  *
  * Every field is deterministic run-to-run. Serial fields are pure
  * functions of the traffic; Window fields are, per op, the advance of

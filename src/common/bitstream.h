@@ -2,73 +2,55 @@
  * @file
  * Bit-granularity serialization used by the compression codecs.
  *
- * Compressed memory entries are variable-length bit strings; BitWriter and
- * BitReader provide LSB-first bit packing so that encode/decode pairs are
- * bit-exact and the compressed size in bits can be measured precisely.
+ * Compressed memory entries are variable-length bit strings packed
+ * LSB-first: the first bit written is bit 0 of byte 0. There is one
+ * writer and one reader, both word-level:
+ *
+ *  - FixedBitWriter gathers bits in a 64-bit accumulator and stores whole
+ *    words into a caller-provided buffer, so a codec symbol of up to 64
+ *    bits costs one put(); finish() stores the partial tail word.
+ *  - BitReader reads with peek(n)/consume(n): peek returns the next n
+ *    (<= 57) bits from one bounded 8-byte load, zero-filled past the end
+ *    of the stream, and consume advances with an overrun check. A codec
+ *    can therefore peek a whole symbol and decode it with a table or a
+ *    switch instead of bit-by-bit branching.
+ *
+ * The reader never loads a byte at or past ceil(size_bits / 8), so a
+ * payload may sit in a buffer of exactly its byte size. The bit-serial
+ * implementation these replace is kept in tests/codec_oracle.h as the
+ * reference the codecs are checked against.
  */
 
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <vector>
+#include <cstring>
 
 #include "common/check.h"
 #include "common/types.h"
 
 namespace buddy {
 
-/** Append-only LSB-first bit packer. */
-class BitWriter
+// Whole-word stores and loads rely on the host byte order matching the
+// LSB-first bit order (as do the codecs' memcpy word loads).
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "bitstream.h assumes a little-endian host");
+
+/** The low @p nbits bits set (nbits in [0, 64]). */
+constexpr u64
+lowBits(unsigned nbits)
 {
-  public:
-    BitWriter() = default;
-
-    /** Append the low @p nbits bits of @p value (nbits in [0, 64]). */
-    void
-    put(u64 value, unsigned nbits)
-    {
-        BUDDY_CHECK(nbits <= 64, "BitWriter::put supports at most 64 bits");
-        for (unsigned i = 0; i < nbits; ++i) {
-            putBit((value >> i) & 1u);
-        }
-    }
-
-    /** Append a single bit. */
-    void
-    putBit(bool bit)
-    {
-        const std::size_t byte = bitCount_ / 8;
-        const unsigned off = bitCount_ % 8;
-        if (byte >= bytes_.size())
-            bytes_.push_back(0);
-        if (bit)
-            bytes_[byte] |= static_cast<u8>(1u << off);
-        ++bitCount_;
-    }
-
-    /** Number of bits written so far. */
-    std::size_t sizeBits() const { return bitCount_; }
-
-    /** Number of bytes needed to hold the written bits (rounded up). */
-    std::size_t sizeBytes() const { return (bitCount_ + 7) / 8; }
-
-    /** Backing byte storage (padded with zero bits in the last byte). */
-    const std::vector<u8> &bytes() const { return bytes_; }
-
-  private:
-    std::vector<u8> bytes_;
-    std::size_t bitCount_ = 0;
-};
+    return nbits >= 64 ? ~0ull : (1ull << nbits) - 1;
+}
 
 /**
  * LSB-first bit packer over a caller-provided fixed buffer.
  *
- * The allocation-free sibling of BitWriter, used on the hot batch path:
- * codecs encode into a CompressionScratch buffer that is reused across a
- * whole AccessBatch, so no heap traffic occurs per entry. Bytes are
- * zeroed lazily as the writer first touches them, which makes reuse of a
- * dirty scratch buffer safe. Overflowing the buffer is a checked panic.
+ * Codecs encode into a CompressionScratch buffer that is reused across a
+ * whole AccessBatch, so no heap traffic occurs per entry. Every byte up
+ * to sizeBytes() is written (padding bits are zero) once finish() has
+ * run, which makes reuse of a dirty buffer safe. Overflowing the buffer
+ * is a checked panic.
  */
 class FixedBitWriter
 {
@@ -85,38 +67,50 @@ class FixedBitWriter
                     "FixedBitWriter::put supports at most 64 bits");
         BUDDY_CHECK(bitCount_ + nbits <= capBits_,
                     "FixedBitWriter overflow");
-        // Byte-chunked: up to 8 bits land per iteration, so a raw
-        // 32-bit plane costs four stores instead of 32 per-bit calls.
-        while (nbits > 0) {
-            const std::size_t byte = bitCount_ / 8;
-            const unsigned off = bitCount_ % 8;
-            if (off == 0)
-                buf_[byte] = 0; // lazily clear each byte on first touch
-            const unsigned chunk = std::min(8u - off, nbits);
-            const u8 mask = static_cast<u8>((1u << chunk) - 1u);
-            buf_[byte] |= static_cast<u8>((value & mask) << off);
-            value >>= chunk;
-            nbits -= chunk;
-            bitCount_ += chunk;
+        value &= lowBits(nbits);
+        const unsigned off = bitCount_ % 64;
+        acc_ |= value << off;
+        if (off + nbits >= 64) {
+            // The accumulator's word is complete: store it and carry the
+            // bits that did not fit into the next word.
+            std::memcpy(buf_ + bitCount_ / 64 * 8, &acc_, 8);
+            acc_ = off == 0 ? 0 : value >> (64 - off);
+        }
+        bitCount_ += nbits;
+    }
+
+    /** Append @p nbytes bytes verbatim (nbytes a multiple of 8). */
+    void
+    putBytes(const u8 *bytes, std::size_t nbytes)
+    {
+        BUDDY_CHECK(nbytes % 8 == 0,
+                    "FixedBitWriter::putBytes takes whole words");
+        for (std::size_t i = 0; i < nbytes; i += 8) {
+            u64 w;
+            std::memcpy(&w, bytes + i, 8);
+            put(w, 64);
         }
     }
 
-    /** Append a single bit. */
-    void
-    putBit(bool bit)
+    /**
+     * Store the pending partial word (only the bytes it occupies) and
+     * return sizeBits(). The buffer holds the stream once this has run.
+     */
+    std::size_t
+    finish()
     {
-        BUDDY_CHECK(bitCount_ < capBits_, "FixedBitWriter overflow");
-        const std::size_t byte = bitCount_ / 8;
-        const unsigned off = bitCount_ % 8;
-        if (off == 0)
-            buf_[byte] = 0; // lazily clear each byte on first touch
-        if (bit)
-            buf_[byte] |= static_cast<u8>(1u << off);
-        ++bitCount_;
+        const std::size_t tail = (bitCount_ % 64 + 7) / 8;
+        std::memcpy(buf_ + bitCount_ / 64 * 8, &acc_, tail);
+        return bitCount_;
     }
 
     /** Restart the writer at bit zero (reuses the same buffer). */
-    void reset() { bitCount_ = 0; }
+    void
+    reset()
+    {
+        bitCount_ = 0;
+        acc_ = 0;
+    }
 
     /** Number of bits written so far. */
     std::size_t sizeBits() const { return bitCount_; }
@@ -124,51 +118,77 @@ class FixedBitWriter
     /** Number of bytes needed to hold the written bits (rounded up). */
     std::size_t sizeBytes() const { return (bitCount_ + 7) / 8; }
 
-    /** The backing buffer (valid for sizeBytes() bytes). */
-    const u8 *data() const { return buf_; }
-
   private:
     u8 *buf_;
     std::size_t capBits_;
     std::size_t bitCount_ = 0;
+    u64 acc_ = 0; ///< bits [bitCount_ & ~63, bitCount_) not yet stored
 };
 
-/** LSB-first bit unpacker over a byte buffer produced by BitWriter. */
+/** LSB-first bit unpacker over a byte buffer produced by FixedBitWriter. */
 class BitReader
 {
   public:
+    /** Widest peek(): one 8-byte load minus a sub-byte offset. */
+    static constexpr unsigned kMaxPeekBits = 57;
+
+    /** Read a @p size_bits-bit stream; only ceil(size_bits / 8) bytes of
+     *  @p data are ever loaded. */
     BitReader(const u8 *data, std::size_t size_bits)
-        : data_(data), sizeBits_(size_bits)
+        : data_(data), sizeBits_(size_bits), endByte_((size_bits + 7) / 8)
     {}
 
-    explicit BitReader(const BitWriter &w)
-        : data_(w.bytes().data()), sizeBits_(w.sizeBits())
-    {}
+    /**
+     * The next @p nbits bits (nbits <= kMaxPeekBits) without consuming
+     * them. Bits past the end of the stream read as zero; consume()
+     * is where an overrun is caught.
+     */
+    u64
+    peek(unsigned nbits) const
+    {
+        BUDDY_CHECK(nbits <= kMaxPeekBits,
+                    "BitReader::peek supports at most 57 bits");
+        const std::size_t byte = pos_ / 8;
+        u64 w = 0;
+        if (byte + 8 <= endByte_)
+            std::memcpy(&w, data_ + byte, 8);
+        else if (byte < endByte_)
+            std::memcpy(&w, data_ + byte, endByte_ - byte);
+        return (w >> (pos_ % 8)) & lowBits(nbits);
+    }
 
-    /** Read @p nbits bits (LSB first) as an unsigned value. */
+    /** Skip @p nbits bits; running past the end of the stream panics. */
+    void
+    consume(std::size_t nbits)
+    {
+        BUDDY_CHECK(nbits <= sizeBits_ - pos_, "BitReader overrun");
+        pos_ += nbits;
+    }
+
+    /** Read @p nbits bits (LSB first, nbits in [0, 64]). */
     u64
     get(unsigned nbits)
     {
         BUDDY_CHECK(nbits <= 64, "BitReader::get supports at most 64 bits");
-        u64 v = 0;
-        for (unsigned i = 0; i < nbits; ++i) {
-            v |= static_cast<u64>(getBit()) << i;
+        if (nbits > kMaxPeekBits) {
+            const u64 lo = get(32);
+            return lo | get(nbits - 32) << 32;
         }
+        const u64 v = peek(nbits);
+        consume(nbits);
         return v;
     }
 
-    /** Read one bit. */
-    bool
-    getBit()
+    /** Read @p nbytes bytes verbatim (nbytes a multiple of 8). */
+    void
+    getBytes(u8 *out, std::size_t nbytes)
     {
-        BUDDY_CHECK(pos_ < sizeBits_, "BitReader overrun");
-        const bool bit = (data_[pos_ / 8] >> (pos_ % 8)) & 1u;
-        ++pos_;
-        return bit;
+        BUDDY_CHECK(nbytes % 8 == 0, "BitReader::getBytes takes whole words");
+        for (std::size_t i = 0; i < nbytes; i += 8) {
+            const u64 w = get(64);
+            std::memcpy(out + i, &w, 8);
+        }
     }
-
-    /** Bits consumed so far. */
-    std::size_t pos() const { return pos_; }
 
     /** Bits remaining. */
     std::size_t remaining() const { return sizeBits_ - pos_; }
@@ -176,6 +196,7 @@ class BitReader
   private:
     const u8 *data_;
     std::size_t sizeBits_;
+    std::size_t endByte_;
     std::size_t pos_ = 0;
 };
 

@@ -65,48 +65,51 @@ modeBits(const ModeSpec &m)
            static_cast<std::size_t>(elems) * (1 + m.deltaBytes * 8);
 }
 
-/** Most elements any mode can have (B2D1: 128 B / 2 B). */
-constexpr unsigned kMaxElems = kEntryBytes / 2;
+constexpr unsigned kNumModes = sizeof(kModes) / sizeof(kModes[0]);
 
 /**
- * Check whether every element can be expressed as a deltaBytes-wide signed
- * delta from either zero or the first non-zero-representable element.
- * On success fills @p base and the per-element mask/deltas (fixed-size
- * arrays of kMaxElems: the encoder is allocation-free).
+ * Running fit of one base-delta mode: every element must be a
+ * deltaBytes-wide signed delta from either zero or the base, the first
+ * element that is not a narrow delta from zero.
  */
-bool
-tryMode(const u8 *data, const ModeSpec &m, u64 &base, bool *use_base,
-        i64 *deltas)
+struct ModeFit
 {
-    const unsigned elems = kEntryBytes / m.baseBytes;
-    std::memset(use_base, 0, elems * sizeof(*use_base));
-    bool have_base = false;
-    base = 0;
+    i64 base = 0; ///< sign-extended; stored as its low baseBytes bytes
+    bool haveBase = false;
+};
 
-    for (unsigned i = 0; i < elems; ++i) {
-        const u64 raw = loadElem(data, i, m.baseBytes);
-        const i64 val = signExtend(raw, m.baseBytes);
-        deltas[i] = 0;
-        if (fitsSigned(val, m.deltaBytes)) {
-            deltas[i] = val; // delta from the implicit zero base
+/**
+ * Extend the fit of mode kModes[K] by the elements of one 8-byte
+ * @p chunk; clears bit K of @p alive at the first element the mode
+ * cannot hold.
+ */
+template <unsigned K>
+void
+fitChunk(ModeFit *fits, unsigned &alive, u64 chunk)
+{
+    constexpr ModeSpec m = kModes[K];
+    if (!(alive >> K & 1u))
+        return;
+    ModeFit &f = fits[K];
+    for (unsigned e = 0; e < 8 / m.baseBytes; ++e) {
+        const i64 val = signExtend(chunk >> (e * m.baseBytes * 8),
+                                   m.baseBytes);
+        if (fitsSigned(val, m.deltaBytes))
             continue;
-        }
-        if (!have_base) {
-            base = raw;
-            have_base = true;
+        if (!f.haveBase) {
+            f.base = val;
+            f.haveBase = true;
         }
         // Subtract in u64: an 8-byte val/base pair with opposite signs
         // overflows i64 (UB), while the two's-complement wrap is exactly
         // the delta the decoder's wrapping add reconstructs from.
-        const i64 d = static_cast<i64>(
-            static_cast<u64>(val) -
-            static_cast<u64>(signExtend(base, m.baseBytes)));
-        if (!fitsSigned(d, m.deltaBytes))
-            return false;
-        use_base[i] = true;
-        deltas[i] = d;
+        const i64 d = static_cast<i64>(static_cast<u64>(val) -
+                                       static_cast<u64>(f.base));
+        if (!fitsSigned(d, m.deltaBytes)) {
+            alive &= ~(1u << K);
+            return;
+        }
     }
-    return true;
 }
 
 } // namespace
@@ -119,62 +122,73 @@ BdiCompressor::compressInto(const u8 *data, u8 *out,
 
     if (entryIsZero(data)) {
         bw.put(static_cast<u8>(BdiMode::Zeros), 4);
-        return bw.sizeBits();
+        return bw.finish();
     }
 
+    // One pass over the entry's 8-byte chunks decides every other mode:
+    // one repeated 8-byte value, and each base-delta mode (its elements
+    // are the chunk's 8-, 4- or 2-byte pieces, in entry order). A mode
+    // drops out at its first element that fits neither delta; the pass
+    // stops once none is left (a repeated entry fits B8D1, so there is
+    // no repeat to find either).
     u64 first8 = 0;
     std::memcpy(&first8, data, 8);
     bool repeated = true;
-    for (unsigned i = 1; i < kEntryBytes / 8 && repeated; ++i)
-        repeated = loadElem(data, i, 8) == first8;
+    ModeFit fit[kNumModes];
+    unsigned alive = (1u << kNumModes) - 1;
+    for (unsigned c = 0; c < kEntryBytes / 8 && alive != 0; ++c) {
+        const u64 chunk = loadElem(data, c, 8);
+        repeated = repeated && chunk == first8;
+        fitChunk<0>(fit, alive, chunk);
+        fitChunk<1>(fit, alive, chunk);
+        fitChunk<2>(fit, alive, chunk);
+        fitChunk<3>(fit, alive, chunk);
+        fitChunk<4>(fit, alive, chunk);
+        fitChunk<5>(fit, alive, chunk);
+    }
+    static_assert(kNumModes == 6, "one fitChunk call per mode");
+
     if (repeated) {
         bw.put(static_cast<u8>(BdiMode::Repeat8), 4);
         bw.put(first8, 64);
-        return bw.sizeBits();
+        return bw.finish();
     }
 
-    // Pick the smallest valid base-delta encoding.
-    const ModeSpec *best = nullptr;
-    u64 best_base = 0;
-    bool best_mask[kMaxElems];
-    i64 best_deltas[kMaxElems];
+    // The smallest fitting base-delta encoding (ties go to the earlier
+    // mode), else raw.
+    int best = -1;
     std::size_t best_bits = kEntryBytes * 8 + 4; // raw cost
-
-    for (const auto &m : kModes) {
-        if (modeBits(m) >= best_bits)
-            continue;
-        u64 base;
-        bool mask[kMaxElems];
-        i64 deltas[kMaxElems];
-        if (tryMode(data, m, base, mask, deltas)) {
-            best = &m;
-            best_base = base;
-            const unsigned elems = kEntryBytes / m.baseBytes;
-            std::memcpy(best_mask, mask, elems * sizeof(*mask));
-            std::memcpy(best_deltas, deltas, elems * sizeof(*deltas));
-            best_bits = modeBits(m);
+    for (unsigned k = 0; k < kNumModes; ++k) {
+        if ((alive >> k & 1u) && modeBits(kModes[k]) < best_bits) {
+            best = static_cast<int>(k);
+            best_bits = modeBits(kModes[k]);
         }
     }
 
-    if (!best) {
+    if (best < 0) {
         bw.put(static_cast<u8>(BdiMode::Raw), 4);
-        for (std::size_t i = 0; i < kEntryBytes; ++i)
-            bw.put(data[i], 8);
-        return bw.sizeBits();
+        bw.putBytes(data, kEntryBytes);
+        return bw.finish();
     }
 
-    bw.put(static_cast<u8>(best->mode), 4);
-    bw.put(best_base, best->baseBytes * 8);
-    const unsigned elems = kEntryBytes / best->baseBytes;
+    const ModeSpec &m = kModes[best];
+    const ModeFit &f = fit[best];
+    const unsigned delta_bits = m.deltaBytes * 8;
+    bw.put(static_cast<u8>(m.mode), 4);
+    bw.put(static_cast<u64>(f.base), m.baseBytes * 8);
+    const unsigned elems = kEntryBytes / m.baseBytes;
     for (unsigned i = 0; i < elems; ++i) {
-        bw.putBit(best_mask[i]);
-        bw.put(static_cast<u64>(best_deltas[i]) &
-                   ((best->deltaBytes * 8 == 64)
-                        ? ~0ull
-                        : ((1ull << (best->deltaBytes * 8)) - 1)),
-               best->deltaBytes * 8);
+        // Per element: a use-base bit, then the delta from zero or base.
+        const i64 val = signExtend(loadElem(data, i, m.baseBytes),
+                                   m.baseBytes);
+        const bool use_base = !fitsSigned(val, m.deltaBytes);
+        const u64 delta = use_base ? static_cast<u64>(val) -
+                                         static_cast<u64>(f.base)
+                                   : static_cast<u64>(val);
+        bw.put(u64{use_base} | (delta & lowBits(delta_bits)) << 1,
+               1 + delta_bits);
     }
-    return bw.sizeBits();
+    return bw.finish();
 }
 
 void
@@ -195,8 +209,7 @@ BdiCompressor::decompressFrom(const u8 *payload, std::size_t size_bits,
         return;
     }
     if (mode == BdiMode::Raw) {
-        for (std::size_t i = 0; i < kEntryBytes; ++i)
-            out[i] = static_cast<u8>(br.get(8));
+        br.getBytes(out, kEntryBytes);
         return;
     }
 
@@ -210,9 +223,9 @@ BdiCompressor::decompressFrom(const u8 *payload, std::size_t size_bits,
     const i64 base = signExtend(base_raw, spec->baseBytes);
     const unsigned elems = kEntryBytes / spec->baseBytes;
     for (unsigned i = 0; i < elems; ++i) {
-        const bool use_base = br.getBit();
-        const u64 draw = br.get(spec->deltaBytes * 8);
-        const i64 d = signExtend(draw, spec->deltaBytes);
+        const u64 p = br.get(1 + spec->deltaBytes * 8);
+        const bool use_base = p & 1u;
+        const i64 d = signExtend(p >> 1, spec->deltaBytes);
         // Add in u64 (mirror of the encoder's wrapping subtract): only
         // the low baseBytes*8 bits are stored, so the wrap is harmless.
         const i64 val =

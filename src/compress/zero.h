@@ -26,13 +26,12 @@ class ZeroCompressor : public Compressor
     {
         FixedBitWriter bw(out, kMaxEncodedBytes);
         if (entryIsZero(data)) {
-            bw.putBit(0);
+            bw.put(0, 1);
         } else {
-            bw.putBit(1);
-            for (std::size_t i = 0; i < kEntryBytes; ++i)
-                bw.put(data[i], 8);
+            bw.put(1, 1);
+            bw.putBytes(data, kEntryBytes);
         }
-        return bw.sizeBits();
+        return bw.finish();
     }
 
     void
@@ -40,12 +39,11 @@ class ZeroCompressor : public Compressor
                    u8 *out) const override
     {
         BitReader br(payload, size_bits);
-        if (!br.getBit()) {
+        if (!br.get(1)) {
             std::memset(out, 0, kEntryBytes);
             return;
         }
-        for (std::size_t i = 0; i < kEntryBytes; ++i)
-            out[i] = static_cast<u8>(br.get(8));
+        br.getBytes(out, kEntryBytes);
     }
 };
 

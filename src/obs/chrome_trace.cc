@@ -185,11 +185,11 @@ ChromeTraceSink::toJson() const
             .key("args").beginObject()
             .key("ops").value(r->summary.operations())
             .key("deviceSectors").value(r->summary.deviceSectors)
-            .key("buddySectors").value(r->summary.buddySectors)
-            .key("deviceWindowCycles").value(r->summary.deviceWindowCycles)
-            .key("buddyWindowCycles").value(r->summary.buddyWindowCycles)
-            .endObject()
-            .endObject();
+            .key("buddySectors").value(r->summary.buddySectors);
+        api::CycleLedger::forEachField(
+            [&](Cycles api::CycleLedger::*f, const char *name,
+                api::CycleKind) { w.key(name).value(r->summary.*f); });
+        w.endObject().endObject();
 
         // GPU-row spans: each participating shard's own makespan, so
         // imbalance shows as ragged ends under a common start.

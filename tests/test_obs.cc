@@ -206,6 +206,19 @@ TEST(ObsDeterminism, ChromeTraceIsValidAndByteStable)
     EXPECT_NE(traceA.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(traceA.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(traceA.find("\"ph\":\"M\""), std::string::npos);
+
+    // A tenant batch span's args carry every cycle-ledger field.
+    const std::size_t batch = traceA.find("\"cat\":\"batch\"");
+    ASSERT_NE(batch, std::string::npos);
+    const std::size_t end = traceA.find("}}", batch);
+    ASSERT_NE(end, std::string::npos);
+    const std::string span = traceA.substr(batch, end - batch);
+    CycleLedger::forEachField(
+        [&](Cycles CycleLedger::*, const char *name, CycleKind) {
+            EXPECT_NE(span.find("\"" + std::string(name) + "\":"),
+                      std::string::npos)
+                << name << " missing from " << span;
+        });
 }
 
 TEST(ObsDeterminism, ChromeTraceSynthesizesFromControllerSink)
