@@ -147,7 +147,7 @@ timedReadCycles(std::size_t entries, double oversub, u64 window)
     const u64 dev_busy0 =
         gpu.deviceStore().link().reader().busyCycles();
     const u64 bud_busy0 =
-        gpu.carveOut().store().link().reader().busyCycles();
+        gpu.buddyStore().link().reader().busyCycles();
 
     const BatchSummary read_pass = readOversubSet(gpu, vas);
 
@@ -161,7 +161,7 @@ timedReadCycles(std::size_t entries, double oversub, u64 window)
     // pipe is occupied.
     t.bw = std::max(
         gpu.deviceStore().link().reader().busyCycles() - dev_busy0,
-        gpu.carveOut().store().link().reader().busyCycles() - bud_busy0);
+        gpu.buddyStore().link().reader().busyCycles() - bud_busy0);
     return t;
 }
 

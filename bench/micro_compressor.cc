@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark micro benchmarks of the compression substrate: codec
- * throughput per data class (legacy allocating API vs. the
- * allocation-free batch path), controller batch submission, sector
+ * throughput per data class through the allocation-free batch path,
+ * controller batch submission, sector
  * quantization, and the metadata cache — the ablation backing the
  * Section 2.4 algorithm choice and the buddy::api batching design.
  *
@@ -11,10 +11,10 @@
  * measured apart from the round trip.
  *
  * Before the google-benchmark suite runs, main() prints a headline
- * comparison: entries/s through the legacy per-entry compress() API
- * (one heap-allocated CompressionResult per entry, the seed's hot path)
- * vs. the batched access plan's compressInto() with one scratch reused
- * across the batch.
+ * comparison: entries/s through the seed's per-entry compress() API
+ * (one heap-allocated result per entry, frozen below) vs. the batched
+ * access plan's compressInto() with one scratch reused across the
+ * batch.
  */
 
 #include <benchmark/benchmark.h>
@@ -50,21 +50,6 @@ fillClass(Rng &rng, int data_class, u8 *buf)
         fillBucketEntry(rng, 5, buf); // incompressible
         break;
     }
-}
-
-void
-BM_CompressLegacy(benchmark::State &state, const char *codec_name,
-                  int data_class)
-{
-    const auto codec = api::CodecRegistry::instance().create(codec_name);
-    Rng rng(1234);
-    u8 buf[kEntryBytes];
-    fillClass(rng, data_class, buf);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(codec->compress(buf).sizeBits);
-    }
-    state.SetBytesProcessed(
-        static_cast<i64>(state.iterations() * kEntryBytes));
 }
 
 void
@@ -199,6 +184,13 @@ BM_MetadataCache(benchmark::State &state)
 namespace seed_reference {
 
 using oracle::BitWriter;
+
+/** The seed's allocating per-entry result. */
+struct CompressionResult
+{
+    std::size_t sizeBits = 0;
+    std::vector<u8> payload;
+};
 
 constexpr u64 kPlaneMask = (1ull << BpcCompressor::kPlaneBits) - 1;
 constexpr u64 kDeltaMask = (1ull << BpcCompressor::kPlanes) - 1;
@@ -348,9 +340,8 @@ compress(const u8 *data)
 
 /**
  * Headline number for the batching redesign: entries/s through the
- * seed's per-entry API (frozen reference above), the current allocating
- * compress() wrapper, and the batched allocation-free path — same
- * codec, same mixed working set.
+ * seed's per-entry API (frozen reference above) and the batched
+ * allocation-free path — same codec, same mixed working set.
  */
 void
 reportBatchSpeedup()
@@ -380,12 +371,6 @@ reportBatchSpeedup()
         for (const auto &e : entries)
             sink += seed_reference::compress(e.data()).sizeBits;
     });
-    const double legacy = time_of([&] {
-        // The current per-entry wrapper: fast encoder, but still one
-        // CompressionResult heap allocation per entry.
-        for (const auto &e : entries)
-            sink += codec->compress(e.data()).sizeBits;
-    });
     const double batched = time_of([&] {
         // The batch path: one scratch for the whole span, zero per-entry
         // allocations.
@@ -401,21 +386,14 @@ reportBatchSpeedup()
                 entries.size());
     std::printf("seed per-entry API (pre-batching) : %10.0f entries/s\n",
                 n / seed);
-    std::printf("per-entry compress() wrapper      : %10.0f entries/s\n",
-                n / legacy);
     std::printf("batched compressInto()            : %10.0f entries/s\n",
                 n / batched);
-    std::printf("speedup vs seed per-entry API     : %10.2fx\n",
+    std::printf("speedup vs seed per-entry API     : %10.2fx\n\n",
                 seed / batched);
-    std::printf("speedup vs allocating wrapper     : %10.2fx\n\n",
-                legacy / batched);
 }
 
 } // namespace
 
-BENCHMARK_CAPTURE(BM_CompressLegacy, bpc_zero, "bpc", 0);
-BENCHMARK_CAPTURE(BM_CompressLegacy, bpc_smooth, "bpc", 1);
-BENCHMARK_CAPTURE(BM_CompressLegacy, bpc_random, "bpc", 2);
 BENCHMARK_CAPTURE(BM_CompressInto, bpc_zero, "bpc", 0);
 BENCHMARK_CAPTURE(BM_CompressInto, bpc_smooth, "bpc", 1);
 BENCHMARK_CAPTURE(BM_CompressInto, bpc_random, "bpc", 2);

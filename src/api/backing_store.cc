@@ -1,5 +1,6 @@
 #include "api/backing_store.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -10,95 +11,16 @@ namespace api {
 
 namespace {
 
-/** Shared flat-memory implementation behind every in-process kind. */
-class FlatStore : public BackingStore
+/** @p kind when it names a known store; fatal otherwise. */
+const std::string &
+checkedKind(const std::string &kind)
 {
-  public:
-    FlatStore(const char *kind, u64 capacity_bytes,
-              const timing::LinkTiming &timing)
-        : BackingStore(kind, timing), data_(capacity_bytes, 0)
-    {}
-
-    u64 capacity() const override { return data_.size(); }
-
-  protected:
-    void
-    doWrite(Addr addr, const u8 *src, std::size_t len) override
-    {
-        BUDDY_CHECK(addr + len <= data_.size(),
-                    "backing-store write out of range");
-        std::memcpy(data_.data() + addr, src, len);
-    }
-
-    void
-    doRead(Addr addr, u8 *dst, std::size_t len) const override
-    {
-        BUDDY_CHECK(addr + len <= data_.size(),
-                    "backing-store read out of range");
-        std::memcpy(dst, data_.data() + addr, len);
-    }
-
-    void
-    doFill(Addr addr, u8 value, std::size_t len) override
-    {
-        BUDDY_CHECK(addr + len <= data_.size(),
-                    "backing-store fill out of range");
-        std::memset(data_.data() + addr, value, len);
-    }
-
-  private:
-    std::vector<u8> data_;
-};
-
-/**
- * NVLink peer access to another shard's device memory. The bytes model
- * a region reserved in the peer GPU's memory exclusively for this
- * shard's carve-out, so the storage is owned here (no cross-shard data
- * races); what distinguishes the kind is its NVLink-peer link timing
- * and the recorded peer topology, which the sharded engine wires as a
- * ring (shard s spills into shard (s+1) mod N).
- */
-class PeerStore : public FlatStore
-{
-  public:
-    PeerStore(u64 capacity_bytes, const timing::LinkTiming &timing,
-              int peer_ordinal)
-        : FlatStore("peer", capacity_bytes, timing), peer_(peer_ordinal)
-    {}
-
-    int peerOrdinal() const override { return peer_; }
-
-  private:
-    int peer_;
-};
-
-} // namespace
-
-std::unique_ptr<BackingStore>
-makeBackingStore(const std::string &kind, u64 capacity_bytes)
-{
-    return makeBackingStore(kind, capacity_bytes,
-                            timing::defaultLinkTiming(kind));
-}
-
-std::unique_ptr<BackingStore>
-makeBackingStore(const std::string &kind, u64 capacity_bytes,
-                 const timing::LinkTiming &timing, int peer_ordinal)
-{
-    if (kind == "dram")
-        return std::make_unique<FlatStore>("dram", capacity_bytes, timing);
-    if (kind == "host-um")
-        return std::make_unique<FlatStore>("host-um", capacity_bytes,
-                                           timing);
-    if (kind == "remote")
-        return std::make_unique<FlatStore>("remote", capacity_bytes,
-                                           timing);
-    if (kind == "peer")
-        return std::make_unique<PeerStore>(capacity_bytes, timing,
-                                           peer_ordinal);
+    const auto kinds = backingStoreKinds();
+    if (std::find(kinds.begin(), kinds.end(), kind) != kinds.end())
+        return kind;
 
     std::string known;
-    for (const auto &k : backingStoreKinds()) {
+    for (const auto &k : kinds) {
         if (!known.empty())
             known += ", ";
         known += k;
@@ -107,6 +29,61 @@ makeBackingStore(const std::string &kind, u64 capacity_bytes,
                  "unknown backing store \"%s\"; known kinds: %s\n",
                  kind.c_str(), known.c_str());
     BUDDY_FATAL("unknown backing-store kind");
+}
+
+} // namespace
+
+BackingStore::BackingStore(const std::string &kind, u64 capacity_bytes,
+                           const timing::LinkTiming &timing,
+                           int peer_ordinal)
+    : kind_(checkedKind(kind)), capacity_(capacity_bytes),
+      peer_(kind == "peer" ? peer_ordinal : -1), link_(timing),
+      pages_((capacity_bytes + kStorePageBytes - 1) / kStorePageBytes)
+{}
+
+void
+BackingStore::copyIn(Addr addr, const u8 *src, std::size_t len)
+{
+    BUDDY_CHECK(addr <= capacity_ && len <= capacity_ - addr,
+                "backing-store write out of range");
+    for (Addr a = addr; a < addr + len;) {
+        const std::size_t off = a % kStorePageBytes;
+        const std::size_t n =
+            std::min<std::size_t>(addr + len - a, kStorePageBytes - off);
+        auto &page = pages_[a / kStorePageBytes];
+        if (!page)
+            page = std::make_unique<u8[]>(kStorePageBytes); // zeroed
+        std::memcpy(page.get() + off, src + (a - addr), n);
+        a += n;
+    }
+}
+
+void
+BackingStore::copyOut(Addr addr, u8 *dst, std::size_t len) const
+{
+    BUDDY_CHECK(addr <= capacity_ && len <= capacity_ - addr,
+                "backing-store read out of range");
+    for (Addr a = addr; a < addr + len;) {
+        const std::size_t off = a % kStorePageBytes;
+        const std::size_t n =
+            std::min<std::size_t>(addr + len - a, kStorePageBytes - off);
+        const auto &page = pages_[a / kStorePageBytes];
+        if (page)
+            std::memcpy(dst + (a - addr), page.get() + off, n);
+        else
+            std::memset(dst + (a - addr), 0, n); // never written
+        a += n;
+    }
+}
+
+BackingStore
+makeBackingStore(const std::string &kind, u64 capacity_bytes,
+                 const std::optional<timing::LinkTiming> &timing,
+                 int peer_ordinal)
+{
+    return BackingStore(kind, capacity_bytes,
+                        timing ? *timing : timing::defaultLinkTiming(kind),
+                        peer_ordinal);
 }
 
 std::vector<std::string>

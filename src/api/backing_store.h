@@ -1,18 +1,25 @@
 /**
  * @file
- * BackingStore: the pluggable storage interface behind the controller's
- * device memory and buddy carve-out.
+ * BackingStore: the storage behind the controller's device memory and
+ * buddy carve-out.
  *
  * The functional model needs byte-addressable load/store with capacity
  * accounting; the timing model needs every access charged through a
- * latency/bandwidth server. The base class therefore owns both the
- * traffic counters and a timing::LinkModel: concrete stores implement
- * only the raw byte movement (doWrite/doRead/doFill) while the
- * non-virtual public calls account the operation, charge the link at
- * sector (32 B) granularity, and return the simulated cycles charged.
+ * latency/bandwidth server. A store therefore owns its bytes, the
+ * traffic counters and a timing::LinkModel: write() and read() move the
+ * bytes, account the operation, charge the link at sector (32 B)
+ * granularity, and return the simulated cycles charged.
  *
- * Four kinds ship in-tree, all flat in-process memory differing in what
- * they model and in their default link timing:
+ * Memory is proportional to what a run touches, not to the capacity it
+ * configures. The bytes live in fixed 64 KiB pages that are allocated
+ * zero-filled on the first write touching them; a read of a page that
+ * was never written returns zeros without materialising it. A default
+ * controller (1 GiB device, 3 GiB carve-out) therefore builds in well
+ * under a millisecond and holds only a page-pointer table until the
+ * first write.
+ *
+ * Four kinds ship in-tree. They share the implementation and differ in
+ * what they model and in their default link timing:
  *
  *   "dram"    GPU device memory (HBM2/GDDR class).
  *   "host-um" host memory reachable through unified-memory mappings —
@@ -20,17 +27,20 @@
  *   "remote"  disaggregated/far memory behind a fabric.
  *   "peer"    another GPU's device memory over NVLink peer access; the
  *             sharded engine wires each shard's peer store to a
- *             neighbouring shard (peerOrdinal()).
+ *             neighbouring shard (peerOrdinal()). The bytes model a
+ *             region reserved in the peer GPU for this shard alone, so
+ *             the store owns them (no cross-shard data races).
  *
- * Stores are selected by name through BuddyConfig
- * (deviceBackend/buddyBackend) and created by makeBackingStore(), which
- * fails fast on unknown kinds. Future backends (CXL pools, GPUDirect
- * NVMe) plug in the same way without touching the controller.
+ * The carve-out kind is selected by name through
+ * BuddyConfig::buddyBackend; makeBackingStore() fails fast on unknown
+ * kinds.
  */
 
 #pragma once
 
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,54 +58,58 @@ namespace api {
 class BackingStore
 {
   public:
-    BackingStore(const char *kind, const timing::LinkTiming &timing)
-        : kind_(kind), link_(timing)
-    {}
+    /** Granule of lazy allocation (a constant, not a knob). */
+    static constexpr std::size_t kStorePageBytes = 64 * 1024;
 
-    virtual ~BackingStore() = default;
+    /**
+     * A store of @p kind (one of backingStoreKinds(); anything else is
+     * a fatal configuration error naming the known kinds) charging
+     * through @p timing. @p peer_ordinal is kept for "peer" stores only.
+     */
+    BackingStore(const std::string &kind, u64 capacity_bytes,
+                 const timing::LinkTiming &timing, int peer_ordinal = -1);
 
-    /** Store kind ("dram", "host-um", "remote", "peer", ...). */
-    const char *kind() const { return kind_; }
+    /** Store kind ("dram", "host-um", "remote", "peer"). */
+    const char *kind() const { return kind_.c_str(); }
 
-    virtual u64 capacity() const = 0;
+    u64 capacity() const { return capacity_; }
 
     /**
      * Shard ordinal of the GPU whose memory a "peer" store maps, -1 for
      * every other kind (and for unwired peer stores).
      */
-    virtual int peerOrdinal() const { return -1; }
+    int peerOrdinal() const { return peer_; }
 
     /**
-     * Store @p len bytes at @p addr.
+     * Store @p len bytes at @p addr (panics when out of range).
      * @return simulated cycles the link charged for the transfer.
      */
     Cycles
     write(Addr addr, const u8 *src, std::size_t len)
     {
-        doWrite(addr, src, len);
+        if (u8 *p = onWrittenPage(addr, len))
+            std::memcpy(p, src, len);
+        else
+            copyIn(addr, src, len);
         written_ += len;
         ++writeOps_;
         return chargeWrite(len);
     }
 
-    /** Load @p len bytes from @p addr. @return cycles charged. */
+    /**
+     * Load @p len bytes from @p addr (panics when out of range); bytes
+     * never written read as zero. @return cycles charged.
+     */
     Cycles
     read(Addr addr, u8 *dst, std::size_t len) const
     {
-        doRead(addr, dst, len);
+        if (const u8 *p = onWrittenPage(addr, len))
+            std::memcpy(dst, p, len);
+        else
+            copyOut(addr, dst, len);
         read_ += len;
         ++readOps_;
         return chargeRead(len);
-    }
-
-    /** Fill @p len bytes with @p value. @return cycles charged. */
-    Cycles
-    fill(Addr addr, u8 value, std::size_t len)
-    {
-        doFill(addr, value, len);
-        written_ += len;
-        ++writeOps_;
-        return chargeWrite(len);
     }
 
     /**
@@ -122,7 +136,7 @@ class BackingStore
     u64 bytesWritten() const { return written_; }
     u64 bytesRead() const { return read_; }
 
-    /** Number of write()/fill() and read() calls since construction. */
+    /** Number of write() and read() calls since construction. */
     u64 writeOps() const { return writeOps_; }
     u64 readOps() const { return readOps_; }
 
@@ -154,12 +168,29 @@ class BackingStore
     /** Simulated cycles elapsed on this store's clock. */
     Cycles cyclesElapsed() const { return link_.now(); }
 
-  protected:
-    virtual void doWrite(Addr addr, const u8 *src, std::size_t len) = 0;
-    virtual void doRead(Addr addr, u8 *dst, std::size_t len) const = 0;
-    virtual void doFill(Addr addr, u8 value, std::size_t len) = 0;
-
   private:
+    /**
+     * Where [addr, addr + len) lives when it is in range and inside one
+     * page that was written before; null otherwise. That is the common
+     * case, kept inline as one memcpy because every entry access makes
+     * one or two store calls. copyIn()/copyOut() take the rest: first
+     * writes, slots that cross a page boundary, never-written bytes and
+     * the out-of-range panic.
+     */
+    u8 *
+    onWrittenPage(Addr addr, std::size_t len) const
+    {
+        const std::size_t off = addr % kStorePageBytes;
+        if (addr >= capacity_ || len > capacity_ - addr ||
+            off + len > kStorePageBytes)
+            return nullptr;
+        u8 *page = pages_[addr / kStorePageBytes].get();
+        return page ? page + off : nullptr;
+    }
+
+    void copyIn(Addr addr, const u8 *src, std::size_t len);
+    void copyOut(Addr addr, u8 *dst, std::size_t len) const;
+
     /** Links transfer whole 32 B sectors (the DRAM access granule). */
     static u64
     sectorBytes(std::size_t len)
@@ -168,8 +199,12 @@ class BackingStore
                kSectorBytes;
     }
 
-    const char *kind_;
+    std::string kind_;
+    u64 capacity_;
+    int peer_;
     mutable timing::LinkModel link_;
+    /** One slot per kStorePageBytes of capacity; null until written. */
+    std::vector<std::unique_ptr<u8[]>> pages_;
     u64 written_ = 0;
     mutable u64 read_ = 0;
     u64 writeOps_ = 0;
@@ -177,20 +212,16 @@ class BackingStore
 };
 
 /**
- * Create a backing store of @p kind with @p capacity bytes and the
- * kind's default link timing (timing::defaultLinkTiming).
- * Unknown kinds are a fatal configuration error naming the known kinds.
+ * Create a backing store of @p kind with @p capacity_bytes bytes whose
+ * link timing defaults to the kind's calibration
+ * (timing::defaultLinkTiming). @p peer_ordinal names the peer shard a
+ * "peer" store maps.
  */
-std::unique_ptr<BackingStore> makeBackingStore(const std::string &kind,
-                                               u64 capacity_bytes);
-
-/**
- * Create a backing store with explicit link timing. @p peer_ordinal
- * names the peer shard a "peer" store maps (ignored by other kinds).
- */
-std::unique_ptr<BackingStore>
+BackingStore
 makeBackingStore(const std::string &kind, u64 capacity_bytes,
-                 const timing::LinkTiming &timing, int peer_ordinal = -1);
+                 const std::optional<timing::LinkTiming> &timing =
+                     std::nullopt,
+                 int peer_ordinal = -1);
 
 /** All backing-store kinds makeBackingStore() accepts. */
 std::vector<std::string> backingStoreKinds();

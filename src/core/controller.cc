@@ -31,22 +31,20 @@ BuddyController::BuddyController(const BuddyConfig &cfg)
                        ? *cfg.codecTiming
                        : api::CodecRegistry::instance().find(cfg.codec)
                              ->timing),
-      device_(makeBackingStore(
-          cfg.deviceBackend, cfg.deviceBytes,
-          cfg.deviceLink ? *cfg.deviceLink
-                         : timing::defaultLinkTiming(cfg.deviceBackend))),
-      buddy_(cfg.deviceBytes, cfg.carveOutRatio, cfg.buddyBackend,
-             cfg.buddyLink, cfg.buddyPeerOrdinal),
+      device_(makeBackingStore("dram", cfg.deviceBytes, cfg.deviceLink)),
+      buddy_(makeBackingStore(cfg.buddyBackend,
+                              cfg.deviceBytes * cfg.carveOutRatio,
+                              cfg.buddyLink, cfg.buddyPeerOrdinal)),
       deviceAlloc_(cfg.deviceBytes),
       buddyAlloc_(buddy_.capacity())
 {
     // Windowed-replay configuration errors (a 0 window, or a windowed
     // replay over a zero-bandwidth link) are caught here rather than at
     // the first executed batch.
-    timing::validateWindowedTiming(device_->link().timing(),
+    timing::validateWindowedTiming(device_.link().timing(),
                                    cfg.linkWindow,
                                    "BuddyConfig deviceLink/linkWindow");
-    timing::validateWindowedTiming(buddy_.store().link().timing(),
+    timing::validateWindowedTiming(buddy_.link().timing(),
                                    cfg.linkWindow,
                                    "BuddyConfig buddyLink/linkWindow");
 
@@ -203,8 +201,8 @@ BuddyController::attachMetrics(obs::MetricRegistry &registry,
 timing::WindowGroup
 BuddyController::makeWindows() const
 {
-    return timing::WindowGroup(device_->makeWindow(cfg_.linkWindow),
-                               buddy_.store().makeWindow(cfg_.linkWindow),
+    return timing::WindowGroup(device_.makeWindow(cfg_.linkWindow),
+                               buddy_.makeWindow(cfg_.linkWindow),
                                codecTiming_);
 }
 
@@ -254,7 +252,7 @@ BuddyController::executeOp(const AccessRequest &op,
         if (meta == EntryMeta::Raw) {
             const u64 on_dev =
                 std::min<u64>(kEntryBytes, loc.deviceSlotBytes);
-            dev_cycles = device_->write(loc.deviceAddr, data, on_dev);
+            dev_cycles = device_.write(loc.deviceAddr, data, on_dev);
             if (on_dev < kEntryBytes)
                 bud_cycles = buddy_.write(loc.buddyOffset, data + on_dev,
                                           kEntryBytes - on_dev);
@@ -262,8 +260,8 @@ BuddyController::executeOp(const AccessRequest &op,
         } else if (meta != EntryMeta::Zero) {
             const u64 bytes = (comp_bits + 7) / 8;
             const u64 on_dev = std::min<u64>(bytes, loc.deviceSlotBytes);
-            dev_cycles = device_->write(loc.deviceAddr, scratch.encode,
-                                        on_dev);
+            dev_cycles = device_.write(loc.deviceAddr, scratch.encode,
+                                       on_dev);
             if (on_dev < bytes)
                 bud_cycles = buddy_.write(loc.buddyOffset,
                                           scratch.encode + on_dev,
@@ -321,7 +319,7 @@ BuddyController::executeOp(const AccessRequest &op,
         } else if (meta == EntryMeta::Raw) {
             const u64 on_dev =
                 std::min<u64>(kEntryBytes, loc.deviceSlotBytes);
-            dev_cycles = device_->read(loc.deviceAddr, out, on_dev);
+            dev_cycles = device_.read(loc.deviceAddr, out, on_dev);
             if (on_dev < kEntryBytes)
                 bud_cycles = buddy_.read(loc.buddyOffset, out + on_dev,
                                          kEntryBytes - on_dev);
@@ -330,7 +328,7 @@ BuddyController::executeOp(const AccessRequest &op,
             // decode in place: no per-entry allocation.
             const u64 bytes = (static_cast<u64>(bits) + 7) / 8;
             const u64 on_dev = std::min<u64>(bytes, loc.deviceSlotBytes);
-            dev_cycles = device_->read(loc.deviceAddr, scratch.io, on_dev);
+            dev_cycles = device_.read(loc.deviceAddr, scratch.io, on_dev);
             if (on_dev < bytes)
                 bud_cycles = buddy_.read(loc.buddyOffset,
                                          scratch.io + on_dev,
@@ -366,7 +364,7 @@ BuddyController::executeOp(const AccessRequest &op,
             stored = (static_cast<u64>(bits) + 7) / 8;
         const u64 on_dev = std::min<u64>(stored, loc.deviceSlotBytes);
         if (on_dev > 0)
-            dev_cycles = device_->chargeRead(on_dev);
+            dev_cycles = device_.chargeRead(on_dev);
         if (stored > on_dev)
             bud_cycles = buddy_.chargeRead(stored - on_dev);
         // Probe mirrors the read's codec accounting too: a read of a

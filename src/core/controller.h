@@ -5,8 +5,8 @@
  * batched access plan.
  *
  * The controller owns the codec (instantiated from the CodecRegistry),
- * the per-entry metadata (store + cache), and two pluggable
- * BackingStores: device memory and the buddy carve-out. Allocations are
+ * the per-entry metadata (store + cache), and two BackingStores: device
+ * memory ("dram") and the buddy carve-out. Allocations are
  * created with a target compression ratio; each 128 B entry of an
  * allocation has `deviceSectors(target)` sectors in device memory and the
  * remaining sectors at a fixed pre-allocated slot in the buddy memory.
@@ -47,7 +47,6 @@
 #include "compress/compressor.h"
 #include "compress/sector.h"
 #include "core/allocation.h"
-#include "core/backing.h"
 #include "core/firstfit.h"
 #include "core/metadata.h"
 #include "obs/metrics.h"
@@ -92,16 +91,14 @@ struct BuddyConfig
     /** Codec registry name ("bpc" is the paper's choice). */
     std::string codec = "bpc";
 
-    /** Backing store behind device memory (see api/backing_store.h). */
-    std::string deviceBackend = "dram";
-
-    /** Backing store behind the buddy carve-out ("peer" spills into a
-     *  neighbouring shard's device memory over NVLink). */
+    /** Backing-store kind behind the buddy carve-out (see
+     *  api/backing_store.h; "peer" spills into a neighbouring shard's
+     *  device memory over NVLink). Device memory is always "dram". */
     std::string buddyBackend = "host-um";
 
     /**
      * Link timing overrides for the two stores; each defaults to its
-     * backend kind's calibration (timing::defaultLinkTiming) when
+     * store kind's calibration (timing::defaultLinkTiming) when
      * unset. See timing/link_model.h.
      */
     std::optional<timing::LinkTiming> deviceLink;
@@ -146,9 +143,6 @@ struct BuddyConfig
      * (standalone controllers).
      */
     int buddyPeerOrdinal = -1;
-
-    /** Verify every read against the written data (debug aid). */
-    bool verifyReads = false;
 };
 
 /** Aggregated controller statistics: traffic plus the cycle ledger
@@ -178,7 +172,8 @@ struct BuddyStats : CycleLedger
  * The Buddy Compression controller (see file header).
  *
  * Addresses are allocation-relative virtual addresses; the controller
- * performs the page-table/GBBR translation internally.
+ * translates them to device addresses and carve-out offsets (the
+ * paper's GBBR + offset, with the carve-out based at 0) internally.
  */
 class BuddyController
 {
@@ -308,10 +303,11 @@ class BuddyController
     const timing::CodecTiming &codecTiming() const { return codecTiming_; }
 
     /** The device-memory backing store. */
-    const BackingStore &deviceStore() const { return *device_; }
+    const BackingStore &deviceStore() const { return device_; }
 
-    /** The buddy carve-out (GBBR + backing store). */
-    const BuddyCarveOut &carveOut() const { return buddy_; }
+    /** The buddy carve-out's backing store (deviceBytes *
+     *  carveOutRatio bytes, addressed by carve-out offset). */
+    const BackingStore &buddyStore() const { return buddy_; }
 
   private:
     struct EntryLoc
@@ -390,8 +386,8 @@ class BuddyController
     BuddyConfig cfg_;
     std::unique_ptr<Compressor> codec_;
     timing::CodecTiming codecTiming_; ///< resolved, see codecTiming()
-    std::unique_ptr<BackingStore> device_;
-    BuddyCarveOut buddy_;
+    BackingStore device_;
+    BackingStore buddy_;
     std::unique_ptr<MetadataStore> metaStore_;
     std::unique_ptr<MetadataCache> metaCache_;
     RegionAllocator deviceAlloc_;

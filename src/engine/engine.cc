@@ -421,7 +421,7 @@ ShardedEngine::finish(BatchJob &job)
         const u64 w = cfg_.shard.linkWindow;
         timing::WindowGroup group(
             c0.deviceStore().makeWindow(w),
-            c0.carveOut().store().makeWindow(w),
+            c0.buddyStore().makeWindow(w),
             c0.codecTiming());
         for (std::size_t i = 0; i < batch.ops_.size(); ++i) {
             AccessInfo &info = batch.results_[i];

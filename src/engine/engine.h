@@ -302,7 +302,7 @@ class ShardedEngine
     int
     buddyPeerOf(unsigned s) const
     {
-        return shards_[s]->carveOut().store().peerOrdinal();
+        return shards_[s]->buddyStore().peerOrdinal();
     }
 
     /**

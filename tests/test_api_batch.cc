@@ -9,10 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "api/backing_store.h"
 #include "api/codec_registry.h"
+#include "common/check.h"
 #include "core/controller.h"
 #include "core/profiler.h"
 #include "gpusim/memsys.h"
@@ -356,36 +362,112 @@ TEST(CodecRegistryDeath, ControllerValidatesConfiguredCodec)
 
 TEST(BackingStore, KindsRoundTripData)
 {
+    constexpr u64 kPage = BackingStore::kStorePageBytes;
     for (const auto &kind : api::backingStoreKinds()) {
-        const auto store = makeBackingStore(kind, 64 * KiB);
-        EXPECT_STREQ(store->kind(), kind.c_str());
-        EXPECT_EQ(store->capacity(), 64 * KiB);
+        auto store = makeBackingStore(kind, 4 * kPage);
+        EXPECT_STREQ(store.kind(), kind.c_str());
+        EXPECT_EQ(store.capacity(), 4 * kPage);
 
         u8 src[kEntryBytes], dst[kEntryBytes];
         for (std::size_t i = 0; i < kEntryBytes; ++i)
             src[i] = static_cast<u8>(i * 7 + 1);
-        store->write(1024, src, kEntryBytes);
-        store->read(1024, dst, kEntryBytes);
+        store.write(1024, src, kEntryBytes);
+        store.read(1024, dst, kEntryBytes);
         EXPECT_EQ(std::memcmp(src, dst, kEntryBytes), 0) << kind;
-        EXPECT_GE(store->bytesWritten(), kEntryBytes);
-        EXPECT_GE(store->bytesRead(), kEntryBytes);
+
+        // An entry straddling the first page boundary (a 96 B buddy
+        // slot does this) lands on both pages and reads back whole.
+        const Addr straddle = kPage - 40;
+        store.write(straddle, src, kEntryBytes);
+        std::memset(dst, 0xEE, kEntryBytes);
+        store.read(straddle, dst, kEntryBytes);
+        EXPECT_EQ(std::memcmp(src, dst, kEntryBytes), 0) << kind;
+
+        // Bytes never written read as zero: on a page never touched,
+        // and on a touched page around the written ranges.
+        u8 zeros[kEntryBytes] = {};
+        for (const Addr a : {3 * kPage + 512, Addr{0}, kPage + 88}) {
+            std::memset(dst, 0xEE, kEntryBytes);
+            store.read(a, dst, kEntryBytes);
+            EXPECT_EQ(std::memcmp(zeros, dst, kEntryBytes), 0)
+                << kind << " @" << a;
+        }
+        // A read spanning a written page and an untouched one.
+        std::memset(dst, 0xEE, kEntryBytes);
+        store.read(2 * kPage - 64, dst, kEntryBytes);
+        EXPECT_EQ(std::memcmp(zeros, dst, kEntryBytes), 0) << kind;
+
+        EXPECT_EQ(store.bytesWritten(), 2 * kEntryBytes);
+        EXPECT_EQ(store.bytesRead(), 6 * kEntryBytes);
     }
 }
 
-TEST(BackingStoreDeath, UnknownKindFailsFast)
+TEST(BackingStoreDeath, OutOfRangeAccessPanics)
 {
-    EXPECT_DEATH({ makeBackingStore("nvme-of", 1 * MiB); },
-                 "unknown backing store");
+    auto store = makeBackingStore("host-um", 64 * KiB);
+    u8 buf[kEntryBytes] = {};
+    // The last whole entry is in range; one byte further is not.
+    store.write(64 * KiB - kEntryBytes, buf, kEntryBytes);
+    store.read(64 * KiB - kEntryBytes, buf, kEntryBytes);
+    EXPECT_DEATH(store.write(64 * KiB - kEntryBytes + 1, buf, kEntryBytes),
+                 "backing-store write out of range");
+    EXPECT_DEATH(store.read(64 * KiB - kEntryBytes + 1, buf, kEntryBytes),
+                 "backing-store read out of range");
+    // An address past the end must not wrap the bound check.
+    EXPECT_DEATH(store.read(~Addr{0} - 8, buf, kEntryBytes),
+                 "backing-store read out of range");
+}
+
+/**
+ * Build a default-config controller, move one entry through it, and
+ * exit 0 when the process's peak RSS stayed within @p max_rss_kib.
+ */
+[[noreturn]] void
+defaultControllerFootprintChild(long max_rss_kib)
+{
+    BuddyController gpu{BuddyConfig{}};
+    const auto id = gpu.allocate("a", 64 * KiB, CompressionTarget::Ratio4);
+    BUDDY_CHECK(id, "allocation failed");
+    const Addr va = gpu.allocations().at(*id).va;
+    u8 entry[kEntryBytes], out[kEntryBytes];
+    Rng rng(3);
+    for (auto &b : entry)
+        b = static_cast<u8>(rng.below(256));
+    gpu.writeEntry(va, entry);
+    gpu.readEntry(va, out);
+    BUDDY_CHECK(std::memcmp(entry, out, kEntryBytes) == 0,
+                "round trip failed");
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    std::fprintf(stderr, "peak rss %ld KiB (bound %ld KiB)\n", ru.ru_maxrss,
+                 max_rss_kib);
+    std::exit(ru.ru_maxrss <= max_rss_kib ? 0 : 1);
+}
+
+TEST(BackingStoreDeath, DefaultControllerFootprintIsProportionalToUse)
+{
+    // A default controller configures 1 GiB of device memory and a
+    // 3 GiB carve-out. Its stores must hold only the pages a run
+    // touches, so building it and moving one entry through it stays
+    // far below the configured capacity. The threadsafe style re-runs
+    // this test alone in a fresh child, so the peak RSS measured there
+    // is this controller's, not the suite's. The bound leaves room for
+    // sanitizer shadow memory.
+    auto &style = ::testing::GTEST_FLAG(death_test_style);
+    const std::string saved = style;
+    style = "threadsafe";
+    EXPECT_EXIT(defaultControllerFootprintChild(256 * 1024),
+                ::testing::ExitedWithCode(0), "peak rss");
+    style = saved;
 }
 
 TEST(BackingStore, ControllerHonoursConfiguredBackends)
 {
     BuddyConfig cfg = smallConfig();
-    cfg.deviceBackend = "dram";
     cfg.buddyBackend = "remote";
     BuddyController gpu(cfg);
     EXPECT_STREQ(gpu.deviceStore().kind(), "dram");
-    EXPECT_STREQ(gpu.carveOut().store().kind(), "remote");
+    EXPECT_STREQ(gpu.buddyStore().kind(), "remote");
 
     // The functional path still round-trips through a remote carve-out.
     const auto id = gpu.allocate("a", 64 * KiB, CompressionTarget::Ratio4);
@@ -398,7 +480,7 @@ TEST(BackingStore, ControllerHonoursConfiguredBackends)
     gpu.writeEntry(va, entry);
     gpu.readEntry(va, out);
     EXPECT_EQ(std::memcmp(entry, out, kEntryBytes), 0);
-    EXPECT_GT(gpu.carveOut().store().bytesWritten(), 0u);
+    EXPECT_GT(gpu.buddyStore().bytesWritten(), 0u);
 }
 
 TEST(BackingStoreDeath, ControllerValidatesConfiguredBackend)

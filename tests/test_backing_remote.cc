@@ -21,10 +21,10 @@ namespace {
 
 TEST(RemoteBackingStore, DirectRoundTripAndAccounting)
 {
-    const auto store = makeBackingStore("remote", 256 * KiB);
-    EXPECT_STREQ(store->kind(), "remote");
-    EXPECT_EQ(store->capacity(), 256 * KiB);
-    EXPECT_EQ(store->roundTrips(), 0u);
+    auto store = makeBackingStore("remote", 256 * KiB);
+    EXPECT_STREQ(store.kind(), "remote");
+    EXPECT_EQ(store.capacity(), 256 * KiB);
+    EXPECT_EQ(store.roundTrips(), 0u);
 
     u8 src[kEntryBytes], dst[kEntryBytes];
     Rng rng(7);
@@ -33,18 +33,18 @@ TEST(RemoteBackingStore, DirectRoundTripAndAccounting)
         for (auto &b : src)
             b = static_cast<u8>(rng.below(256));
         const Addr addr = (i * 3 % kOps) * kEntryBytes;
-        store->write(addr, src, kEntryBytes);
-        store->read(addr, dst, kEntryBytes);
+        store.write(addr, src, kEntryBytes);
+        store.read(addr, dst, kEntryBytes);
         ASSERT_EQ(std::memcmp(src, dst, kEntryBytes), 0) << "op " << i;
     }
 
     // Exact accounting: one write op + one read op per iteration, each
     // moving one full entry; round trips count both directions.
-    EXPECT_EQ(store->writeOps(), kOps);
-    EXPECT_EQ(store->readOps(), kOps);
-    EXPECT_EQ(store->bytesWritten(), kOps * kEntryBytes);
-    EXPECT_EQ(store->bytesRead(), kOps * kEntryBytes);
-    EXPECT_EQ(store->roundTrips(), 2 * kOps);
+    EXPECT_EQ(store.writeOps(), kOps);
+    EXPECT_EQ(store.readOps(), kOps);
+    EXPECT_EQ(store.bytesWritten(), kOps * kEntryBytes);
+    EXPECT_EQ(store.bytesRead(), kOps * kEntryBytes);
+    EXPECT_EQ(store.roundTrips(), 2 * kOps);
 
     // Every round trip was charged through the store's LinkModel at the
     // kind's default timing: closed-form cycle total.
@@ -52,14 +52,9 @@ TEST(RemoteBackingStore, DirectRoundTripAndAccounting)
     const auto xfer = [&](u64 bpc) {
         return (kEntryBytes + bpc - 1) / bpc;
     };
-    EXPECT_EQ(store->cyclesElapsed(),
+    EXPECT_EQ(store.cyclesElapsed(),
               kOps * (t.latency + xfer(t.writeBytesPerCycle)) +
                   kOps * (t.latency + xfer(t.readBytesPerCycle)));
-
-    // fill() counts as one write operation of len bytes.
-    store->fill(0, 0xAA, 512);
-    EXPECT_EQ(store->writeOps(), kOps + 1);
-    EXPECT_EQ(store->bytesWritten(), kOps * kEntryBytes + 512);
 }
 
 TEST(RemoteBackingStore, ControllerDrivenAccounting)
@@ -68,7 +63,7 @@ TEST(RemoteBackingStore, ControllerDrivenAccounting)
     cfg.deviceBytes = 8 * MiB;
     cfg.buddyBackend = "remote";
     BuddyController gpu(cfg);
-    const BackingStore &remote = gpu.carveOut().store();
+    const BackingStore &remote = gpu.buddyStore();
     EXPECT_STREQ(remote.kind(), "remote");
     EXPECT_EQ(remote.capacity(), cfg.deviceBytes * cfg.carveOutRatio);
 
@@ -117,8 +112,8 @@ TEST(RemoteBackingStore, EngineDrivenAccountingAcrossShards)
 
     // Each shard owns its own remote carve-out of the configured size.
     for (unsigned s = 0; s < eng.shardCount(); ++s) {
-        EXPECT_STREQ(eng.shard(s).carveOut().store().kind(), "remote");
-        EXPECT_EQ(eng.shard(s).carveOut().store().capacity(),
+        EXPECT_STREQ(eng.shard(s).buddyStore().kind(), "remote");
+        EXPECT_EQ(eng.shard(s).buddyStore().capacity(),
                   cfg.shard.deviceBytes * cfg.shard.carveOutRatio);
     }
 
@@ -155,7 +150,7 @@ TEST(RemoteBackingStore, EngineDrivenAccountingAcrossShards)
     u64 write_ops = 0, read_ops = 0, bytes_written = 0, bytes_read = 0;
     unsigned shards_touched = 0;
     for (unsigned s = 0; s < eng.shardCount(); ++s) {
-        const BackingStore &store = eng.shard(s).carveOut().store();
+        const BackingStore &store = eng.shard(s).buddyStore();
         write_ops += store.writeOps();
         read_ops += store.readOps();
         bytes_written += store.bytesWritten();

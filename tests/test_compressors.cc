@@ -66,13 +66,21 @@ struct EntryBuf
     }
 };
 
+/** Encoded length rounded up to whole bytes. */
+std::size_t
+bytesOf(std::size_t bits)
+{
+    return (bits + 7) / 8;
+}
+
 void
 expectRoundTrip(const Compressor &c, const EntryBuf &e)
 {
-    const CompressionResult r = c.compress(e.data);
+    CompressionScratch scratch;
+    const std::size_t bits = c.compressInto(e.data, scratch.encode, scratch);
     u8 out[kEntryBytes];
     std::memset(out, 0xAA, sizeof(out));
-    c.decompress(r, out);
+    c.decompressFrom(scratch.encode, bits, out);
     ASSERT_EQ(std::memcmp(e.data, out, kEntryBytes), 0)
         << "codec " << c.name() << " round trip failed";
 }
@@ -105,8 +113,8 @@ TEST_P(CodecTest, ZeroEntryRoundTrips)
 
 TEST_P(CodecTest, ZeroEntryCompressesBelowOneSector)
 {
-    const auto r = codec_->compress(EntryBuf::zeros().data);
-    EXPECT_LE(r.sizeBytes(), kSectorBytes);
+    const std::size_t bits = codec_->compressedBits(EntryBuf::zeros().data);
+    EXPECT_LE(bytesOf(bits), kSectorBytes);
 }
 
 TEST_P(CodecTest, RampRoundTrips)
@@ -128,9 +136,9 @@ TEST_P(CodecTest, RandomEntryNeverExpandsPastTaggedRaw)
     Rng rng(11);
     for (int i = 0; i < 100; ++i) {
         const auto e = EntryBuf::random(rng);
-        const auto r = codec_->compress(e.data);
+        const std::size_t bits = codec_->compressedBits(e.data);
         // Worst case: raw payload plus a small format tag.
-        EXPECT_LE(r.sizeBits, kEntryBytes * 8 + 8);
+        EXPECT_LE(bits, kEntryBytes * 8 + 8);
     }
 }
 
@@ -188,26 +196,26 @@ INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecTest,
 TEST(Bpc, ZeroEntryIsTiny)
 {
     BpcCompressor bpc;
-    const auto r = bpc.compress(EntryBuf::zeros().data);
+    const std::size_t bits = bpc.compressedBits(EntryBuf::zeros().data);
     // Tag (1) + zero base (2) + one 33-plane zero run (8).
-    EXPECT_LE(r.sizeBits, 16u);
+    EXPECT_LE(bits, 16u);
 }
 
 TEST(Bpc, ConstantWordsCompressNearZeroEntry)
 {
     BpcCompressor bpc;
     const auto e = EntryBuf::fromWords({0x12345678u});
-    const auto r = bpc.compress(e.data);
+    const std::size_t bits = bpc.compressedBits(e.data);
     // All deltas zero; only the base costs real bits.
-    EXPECT_LE(r.sizeBits, 64u);
+    EXPECT_LE(bits, 64u);
 }
 
 TEST(Bpc, LinearRampCompressesExtremelyWell)
 {
     BpcCompressor bpc;
     // Constant delta: one nonzero DBX event independent of ramp length.
-    const auto r = bpc.compress(EntryBuf::ramp(100, 4).data);
-    EXPECT_LE(r.sizeBytes(), 16u);
+    const std::size_t bits = bpc.compressedBits(EntryBuf::ramp(100, 4).data);
+    EXPECT_LE(bytesOf(bits), 16u);
 }
 
 TEST(Bpc, SmallMixedDeltasStayUnderHalfEntry)
@@ -221,8 +229,8 @@ TEST(Bpc, SmallMixedDeltasStayUnderHalfEntry)
             v += static_cast<u32>(rng.below(256)) - 128;
             std::memcpy(e.data + w * 4, &v, 4);
         }
-        const auto r = bpc.compress(e.data);
-        EXPECT_LE(r.sizeBytes(), kEntryBytes / 2)
+        const std::size_t bits = bpc.compressedBits(e.data);
+        EXPECT_LE(bytesOf(bits), kEntryBytes / 2)
             << "small-delta entry should compress to >=2x";
         expectRoundTrip(bpc, e);
     }
@@ -235,10 +243,10 @@ TEST(Bpc, RandomDataFallsBackToTaggedRaw)
     int raw_count = 0;
     for (int i = 0; i < 50; ++i) {
         const auto e = EntryBuf::random(rng);
-        const auto r = bpc.compress(e.data);
-        if (r.sizeBits == kEntryBytes * 8 + 1)
+        const std::size_t bits = bpc.compressedBits(e.data);
+        if (bits == kEntryBytes * 8 + 1)
             ++raw_count;
-        EXPECT_LE(r.sizeBits, kEntryBytes * 8 + 1);
+        EXPECT_LE(bits, kEntryBytes * 8 + 1);
     }
     // Virtually all random entries should hit the raw fallback.
     EXPECT_GE(raw_count, 45);
@@ -253,8 +261,8 @@ TEST(Bpc, SignBitPlanesCollapseForNegativeDeltas)
         const u32 v = 1000000 - static_cast<u32>(w) * 17;
         std::memcpy(e.data + w * 4, &v, 4);
     }
-    const auto r = bpc.compress(e.data);
-    EXPECT_LE(r.sizeBytes(), 24u);
+    const std::size_t bits = bpc.compressedBits(e.data);
+    EXPECT_LE(bytesOf(bits), 24u);
     expectRoundTrip(bpc, e);
 }
 
@@ -266,8 +274,8 @@ TEST(Bdi, RepeatedQwordUsesRepeatMode)
 {
     BdiCompressor bdi;
     const auto e = EntryBuf::fromWords({0xCAFEBABEu, 0xCAFEBABEu});
-    const auto r = bdi.compress(e.data);
-    EXPECT_LE(r.sizeBytes(), 10u); // 4-bit tag + 8 B value
+    const std::size_t bits = bdi.compressedBits(e.data);
+    EXPECT_LE(bytesOf(bits), 10u); // 4-bit tag + 8 B value
     expectRoundTrip(bdi, e);
 }
 
@@ -280,8 +288,8 @@ TEST(Bdi, SmallIntegersUseNarrowDeltas)
         const u32 v = static_cast<u32>(rng.below(100));
         std::memcpy(e.data + w * 4, &v, 4);
     }
-    const auto r = bdi.compress(e.data);
-    EXPECT_LT(r.sizeBytes(), kEntryBytes / 2);
+    const std::size_t bits = bdi.compressedBits(e.data);
+    EXPECT_LT(bytesOf(bits), kEntryBytes / 2);
     expectRoundTrip(bdi, e);
 }
 
@@ -295,8 +303,8 @@ TEST(Bdi, PointerLikeDataCompresses)
         const u64 v = 0x00007F8812340000ull + rng.below(0x8000);
         std::memcpy(e.data + q * 8, &v, 8);
     }
-    const auto r = bdi.compress(e.data);
-    EXPECT_LT(r.sizeBytes(), kEntryBytes / 2);
+    const std::size_t bits = bdi.compressedBits(e.data);
+    EXPECT_LT(bytesOf(bits), kEntryBytes / 2);
     expectRoundTrip(bdi, e);
 }
 
@@ -307,17 +315,17 @@ TEST(Bdi, PointerLikeDataCompresses)
 TEST(Fpc, ZeroRunsAreCheap)
 {
     FpcCompressor fpc;
-    const auto r = fpc.compress(EntryBuf::zeros().data);
+    const std::size_t bits = fpc.compressedBits(EntryBuf::zeros().data);
     // 32 zero words = 4 runs of 8 words at 6 bits each.
-    EXPECT_LE(r.sizeBits, 25u);
+    EXPECT_LE(bits, 25u);
 }
 
 TEST(Fpc, SmallValuesGetNarrowCodes)
 {
     FpcCompressor fpc;
     const auto e = EntryBuf::fromWords({1, 2, 3, 4, 5, 6, 7, 0});
-    const auto r = fpc.compress(e.data);
-    EXPECT_LT(r.sizeBytes(), kEntryBytes / 3);
+    const std::size_t bits = fpc.compressedBits(e.data);
+    EXPECT_LT(bytesOf(bits), kEntryBytes / 3);
     expectRoundTrip(fpc, e);
 }
 
@@ -325,8 +333,8 @@ TEST(Fpc, RepeatedByteWordPattern)
 {
     FpcCompressor fpc;
     const auto e = EntryBuf::fromWords({0x7E7E7E7Eu});
-    const auto r = fpc.compress(e.data);
-    EXPECT_LE(r.sizeBits, 32u * 11u + 1);
+    const std::size_t bits = fpc.compressedBits(e.data);
+    EXPECT_LE(bits, 32u * 11u + 1);
     expectRoundTrip(fpc, e);
 }
 
@@ -335,8 +343,8 @@ TEST(Fpc, HalfwordPaddedPattern)
     FpcCompressor fpc;
     const auto e = EntryBuf::fromWords({0xABCD0000u});
     expectRoundTrip(fpc, e);
-    const auto r = fpc.compress(e.data);
-    EXPECT_LE(r.sizeBits, 32u * 19u + 1);
+    const std::size_t bits = fpc.compressedBits(e.data);
+    EXPECT_LE(bits, 32u * 19u + 1);
 }
 
 // ---------------------------------------------------------------------

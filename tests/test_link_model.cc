@@ -214,23 +214,23 @@ TEST(BackingStoreTiming, StoresChargeClosedFormCycles)
     t.writeBytesPerCycle = kWrite;
 
     for (const char *kind : {"dram", "remote", "peer"}) {
-        const auto store = makeBackingStore(kind, 64 * KiB, t);
-        EXPECT_STREQ(store->kind(), kind);
-        EXPECT_EQ(store->cyclesElapsed(), 0u);
+        auto store = makeBackingStore(kind, 64 * KiB, t);
+        EXPECT_STREQ(store.kind(), kind);
+        EXPECT_EQ(store.cyclesElapsed(), 0u);
 
         u8 buf[kEntryBytes] = {1, 2, 3};
         Cycles charged = 0;
         for (std::size_t i = 0; i < kOps; ++i)
-            charged += store->write(i * kEntryBytes, buf, kEntryBytes);
+            charged += store.write(i * kEntryBytes, buf, kEntryBytes);
         for (std::size_t i = 0; i < kOps; ++i)
-            charged += store->read(i * kEntryBytes, buf, kEntryBytes);
+            charged += store.read(i * kEntryBytes, buf, kEntryBytes);
 
         const Cycles expect =
             kOps * (kLat + xferCycles(kEntryBytes, kWrite)) +
             kOps * (kLat + xferCycles(kEntryBytes, kRead));
         EXPECT_EQ(charged, expect) << kind;
-        EXPECT_EQ(store->cyclesElapsed(), expect) << kind;
-        EXPECT_EQ(store->roundTrips(), 2 * kOps) << kind;
+        EXPECT_EQ(store.cyclesElapsed(), expect) << kind;
+        EXPECT_EQ(store.roundTrips(), 2 * kOps) << kind;
     }
 }
 
@@ -240,15 +240,15 @@ TEST(BackingStoreTiming, OddLengthsChargeWholeSectors)
     t.latency = 10;
     t.readBytesPerCycle = 32;
     t.writeBytesPerCycle = 32;
-    const auto store = makeBackingStore("remote", 4 * KiB, t);
+    auto store = makeBackingStore("remote", 4 * KiB, t);
 
     // 65 bytes transfer as three 32 B sectors (96 bytes): 10 + 3.
     u8 buf[kEntryBytes] = {};
-    EXPECT_EQ(store->write(0, buf, 65), 13u);
-    EXPECT_EQ(store->read(0, buf, 65), 13u);
+    EXPECT_EQ(store.write(0, buf, 65), 13u);
+    EXPECT_EQ(store.read(0, buf, 65), 13u);
     // chargeRead (the probe path) is bit-identical to a real read.
-    EXPECT_EQ(store->chargeRead(65), 13u);
-    EXPECT_EQ(store->cyclesElapsed(), 39u);
+    EXPECT_EQ(store.chargeRead(65), 13u);
+    EXPECT_EQ(store.cyclesElapsed(), 39u);
 }
 
 TEST(BackingStoreTiming, StoreWindowsShareTimingButNotTheClock)
@@ -262,26 +262,26 @@ TEST(BackingStoreTiming, StoreWindowsShareTimingButNotTheClock)
     t.writeBytesPerCycle = 32;
     const auto store = makeBackingStore("remote", 4 * KiB, t);
 
-    auto serial = store->makeWindow(1);
+    auto serial = store.makeWindow(1);
     EXPECT_EQ(serial.issue(LinkDir::Read, kEntryBytes),
-              store->chargeRead(kEntryBytes));
-    auto windowed = store->makeWindow(8);
+              store.chargeRead(kEntryBytes));
+    auto windowed = store.makeWindow(8);
     for (unsigned i = 0; i < 8; ++i)
         windowed.issue(LinkDir::Read, kEntryBytes);
     EXPECT_LT(windowed.elapsed(), 8 * (40 + kEntryBytes / 32));
     // Only the one serial chargeRead() above touched the store's clock.
-    EXPECT_EQ(store->cyclesElapsed(), 40 + kEntryBytes / 32);
+    EXPECT_EQ(store.cyclesElapsed(), 40 + kEntryBytes / 32);
 }
 
 TEST(BackingStoreTiming, PeerStoreRecordsItsOrdinal)
 {
     const auto wired =
         makeBackingStore("peer", 4 * KiB, LinkTiming{}, 3);
-    EXPECT_EQ(wired->peerOrdinal(), 3);
+    EXPECT_EQ(wired.peerOrdinal(), 3);
     const auto unwired = makeBackingStore("peer", 4 * KiB);
-    EXPECT_EQ(unwired->peerOrdinal(), -1);
+    EXPECT_EQ(unwired.peerOrdinal(), -1);
     const auto dram = makeBackingStore("dram", 4 * KiB);
-    EXPECT_EQ(dram->peerOrdinal(), -1);
+    EXPECT_EQ(dram.peerOrdinal(), -1);
 }
 
 /**
@@ -368,7 +368,7 @@ TEST(BackingStoreTiming, ControllerChargesArePureFunctionOfTraffic)
     EXPECT_EQ(gpu.stats().deviceCycles,
               gpu.deviceStore().cyclesElapsed());
     EXPECT_EQ(gpu.stats().buddyCycles,
-              gpu.carveOut().store().cyclesElapsed());
+              gpu.buddyStore().cyclesElapsed());
 }
 
 TEST(BackingStoreTiming, EngineWiresPeerRingAndChargesPeerLinks)
@@ -380,7 +380,7 @@ TEST(BackingStoreTiming, EngineWiresPeerRingAndChargesPeerLinks)
     ShardedEngine eng(cfg);
 
     for (unsigned s = 0; s < eng.shardCount(); ++s) {
-        EXPECT_STREQ(eng.shard(s).carveOut().store().kind(), "peer");
+        EXPECT_STREQ(eng.shard(s).buddyStore().kind(), "peer");
         EXPECT_EQ(eng.buddyPeerOf(s),
                   static_cast<int>((s + 1) % eng.shardCount()));
     }
@@ -417,7 +417,7 @@ TEST(BackingStoreTiming, EngineWiresPeerRingAndChargesPeerLinks)
     // Merged stats equal the sum over the per-shard peer-store clocks.
     u64 clock_sum = 0;
     for (unsigned s = 0; s < eng.shardCount(); ++s)
-        clock_sum += eng.shard(s).carveOut().store().cyclesElapsed();
+        clock_sum += eng.shard(s).buddyStore().cyclesElapsed();
     EXPECT_EQ(eng.stats().buddyCycles, clock_sum);
 }
 
