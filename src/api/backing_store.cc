@@ -34,10 +34,11 @@ checkedKind(const std::string &kind)
 } // namespace
 
 BackingStore::BackingStore(const std::string &kind, u64 capacity_bytes,
-                           const timing::LinkTiming &timing,
+                           const std::optional<timing::LinkTiming> &timing,
                            int peer_ordinal)
     : kind_(checkedKind(kind)), capacity_(capacity_bytes),
-      peer_(kind == "peer" ? peer_ordinal : -1), link_(timing),
+      peer_(kind == "peer" ? peer_ordinal : -1),
+      link_(timing ? *timing : timing::defaultLinkTiming(kind)),
       pages_((capacity_bytes + kStorePageBytes - 1) / kStorePageBytes)
 {}
 
@@ -74,16 +75,6 @@ BackingStore::copyOut(Addr addr, u8 *dst, std::size_t len) const
             std::memset(dst + (a - addr), 0, n); // never written
         a += n;
     }
-}
-
-BackingStore
-makeBackingStore(const std::string &kind, u64 capacity_bytes,
-                 const std::optional<timing::LinkTiming> &timing,
-                 int peer_ordinal)
-{
-    return BackingStore(kind, capacity_bytes,
-                        timing ? *timing : timing::defaultLinkTiming(kind),
-                        peer_ordinal);
 }
 
 std::vector<std::string>

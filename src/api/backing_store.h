@@ -32,7 +32,7 @@
  *             the store owns them (no cross-shard data races).
  *
  * The carve-out kind is selected by name through
- * BuddyConfig::buddyBackend; makeBackingStore() fails fast on unknown
+ * BuddyConfig::buddyBackend; the constructor fails fast on unknown
  * kinds.
  */
 
@@ -63,11 +63,16 @@ class BackingStore
 
     /**
      * A store of @p kind (one of backingStoreKinds(); anything else is
-     * a fatal configuration error naming the known kinds) charging
-     * through @p timing. @p peer_ordinal is kept for "peer" stores only.
+     * a fatal configuration error naming the known kinds) with
+     * @p capacity_bytes bytes, charging through @p timing or, when none
+     * is given, the kind's calibration (timing::defaultLinkTiming).
+     * @p peer_ordinal names the peer shard a "peer" store maps; other
+     * kinds ignore it.
      */
     BackingStore(const std::string &kind, u64 capacity_bytes,
-                 const timing::LinkTiming &timing, int peer_ordinal = -1);
+                 const std::optional<timing::LinkTiming> &timing =
+                     std::nullopt,
+                 int peer_ordinal = -1);
 
     /** Store kind ("dram", "host-um", "remote", "peer"). */
     const char *kind() const { return kind_.c_str(); }
@@ -211,24 +216,11 @@ class BackingStore
     mutable u64 readOps_ = 0;
 };
 
-/**
- * Create a backing store of @p kind with @p capacity_bytes bytes whose
- * link timing defaults to the kind's calibration
- * (timing::defaultLinkTiming). @p peer_ordinal names the peer shard a
- * "peer" store maps.
- */
-BackingStore
-makeBackingStore(const std::string &kind, u64 capacity_bytes,
-                 const std::optional<timing::LinkTiming> &timing =
-                     std::nullopt,
-                 int peer_ordinal = -1);
-
-/** All backing-store kinds makeBackingStore() accepts. */
+/** All backing-store kinds the BackingStore constructor accepts. */
 std::vector<std::string> backingStoreKinds();
 
 } // namespace api
 
 using api::BackingStore;
-using api::makeBackingStore;
 
 } // namespace buddy

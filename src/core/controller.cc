@@ -20,7 +20,7 @@ sectorsFor(u64 bytes)
 
 BuddyController::BuddyController(const BuddyConfig &cfg)
     : cfg_(cfg),
-      // CodecRegistry::create and makeBackingStore fail fast on unknown
+      // CodecRegistry::create and BackingStore fail fast on unknown
       // names (listing what is registered), so a misconfigured codec or
       // backend is caught here instead of at the first access.
       codec_(api::CodecRegistry::instance().create(cfg.codec)),
@@ -31,10 +31,9 @@ BuddyController::BuddyController(const BuddyConfig &cfg)
                        ? *cfg.codecTiming
                        : api::CodecRegistry::instance().find(cfg.codec)
                              ->timing),
-      device_(makeBackingStore("dram", cfg.deviceBytes, cfg.deviceLink)),
-      buddy_(makeBackingStore(cfg.buddyBackend,
-                              cfg.deviceBytes * cfg.carveOutRatio,
-                              cfg.buddyLink, cfg.buddyPeerOrdinal)),
+      device_("dram", cfg.deviceBytes, cfg.deviceLink),
+      buddy_(cfg.buddyBackend, cfg.deviceBytes * cfg.carveOutRatio,
+             cfg.buddyLink, cfg.buddyPeerOrdinal),
       deviceAlloc_(cfg.deviceBytes),
       buddyAlloc_(buddy_.capacity())
 {

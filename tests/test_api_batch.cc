@@ -364,7 +364,7 @@ TEST(BackingStore, KindsRoundTripData)
 {
     constexpr u64 kPage = BackingStore::kStorePageBytes;
     for (const auto &kind : api::backingStoreKinds()) {
-        auto store = makeBackingStore(kind, 4 * kPage);
+        BackingStore store(kind, 4 * kPage);
         EXPECT_STREQ(store.kind(), kind.c_str());
         EXPECT_EQ(store.capacity(), 4 * kPage);
 
@@ -402,9 +402,16 @@ TEST(BackingStore, KindsRoundTripData)
     }
 }
 
+TEST(BackingStoreDeath, UnknownKindFailsFast)
+{
+    EXPECT_DEATH({ BackingStore store("nvme-of", 1 * MiB); },
+                 "unknown backing store \"nvme-of\"; known kinds: dram, "
+                 "host-um, remote, peer");
+}
+
 TEST(BackingStoreDeath, OutOfRangeAccessPanics)
 {
-    auto store = makeBackingStore("host-um", 64 * KiB);
+    BackingStore store("host-um", 64 * KiB);
     u8 buf[kEntryBytes] = {};
     // The last whole entry is in range; one byte further is not.
     store.write(64 * KiB - kEntryBytes, buf, kEntryBytes);
@@ -487,7 +494,8 @@ TEST(BackingStoreDeath, ControllerValidatesConfiguredBackend)
 {
     BuddyConfig cfg = smallConfig();
     cfg.buddyBackend = "bogus";
-    EXPECT_DEATH({ BuddyController gpu(cfg); }, "backing");
+    EXPECT_DEATH({ BuddyController gpu(cfg); },
+                 "unknown backing store \"bogus\"");
 }
 
 } // namespace

@@ -21,7 +21,7 @@ namespace {
 
 TEST(RemoteBackingStore, DirectRoundTripAndAccounting)
 {
-    auto store = makeBackingStore("remote", 256 * KiB);
+    BackingStore store("remote", 256 * KiB);
     EXPECT_STREQ(store.kind(), "remote");
     EXPECT_EQ(store.capacity(), 256 * KiB);
     EXPECT_EQ(store.roundTrips(), 0u);

@@ -214,7 +214,7 @@ TEST(BackingStoreTiming, StoresChargeClosedFormCycles)
     t.writeBytesPerCycle = kWrite;
 
     for (const char *kind : {"dram", "remote", "peer"}) {
-        auto store = makeBackingStore(kind, 64 * KiB, t);
+        BackingStore store(kind, 64 * KiB, t);
         EXPECT_STREQ(store.kind(), kind);
         EXPECT_EQ(store.cyclesElapsed(), 0u);
 
@@ -240,7 +240,7 @@ TEST(BackingStoreTiming, OddLengthsChargeWholeSectors)
     t.latency = 10;
     t.readBytesPerCycle = 32;
     t.writeBytesPerCycle = 32;
-    auto store = makeBackingStore("remote", 4 * KiB, t);
+    BackingStore store("remote", 4 * KiB, t);
 
     // 65 bytes transfer as three 32 B sectors (96 bytes): 10 + 3.
     u8 buf[kEntryBytes] = {};
@@ -260,7 +260,7 @@ TEST(BackingStoreTiming, StoreWindowsShareTimingButNotTheClock)
     t.latency = 40;
     t.readBytesPerCycle = 32;
     t.writeBytesPerCycle = 32;
-    const auto store = makeBackingStore("remote", 4 * KiB, t);
+    const BackingStore store("remote", 4 * KiB, t);
 
     auto serial = store.makeWindow(1);
     EXPECT_EQ(serial.issue(LinkDir::Read, kEntryBytes),
@@ -275,12 +275,11 @@ TEST(BackingStoreTiming, StoreWindowsShareTimingButNotTheClock)
 
 TEST(BackingStoreTiming, PeerStoreRecordsItsOrdinal)
 {
-    const auto wired =
-        makeBackingStore("peer", 4 * KiB, LinkTiming{}, 3);
+    const BackingStore wired("peer", 4 * KiB, LinkTiming{}, 3);
     EXPECT_EQ(wired.peerOrdinal(), 3);
-    const auto unwired = makeBackingStore("peer", 4 * KiB);
+    const BackingStore unwired("peer", 4 * KiB);
     EXPECT_EQ(unwired.peerOrdinal(), -1);
-    const auto dram = makeBackingStore("dram", 4 * KiB);
+    const BackingStore dram("dram", 4 * KiB);
     EXPECT_EQ(dram.peerOrdinal(), -1);
 }
 
