@@ -28,23 +28,48 @@ struct CaptureSink : api::TrafficSink
 } // namespace
 
 /**
- * One worker thread plus the queues of the shards it owns. A shard's
- * queue lives with its owning worker and is only ever popped by that
- * worker, so per-shard execution is serial and FIFO by construction.
+ * One worker thread plus the shards it serves. Each shard has a slot
+ * holding its FIFO queue and a `busy` flag, both guarded by `m`. A
+ * shard is executed by one thread at a time — its worker, or a
+ * submitting thread that found it idle (empty queue, not busy) — and
+ * whoever runs it sets `busy` first, so per-shard execution is serial
+ * and FIFO: the worker pops only non-busy slots, and a submitter only
+ * claims a shard with nothing queued ahead of its sub-plan.
  */
 struct ShardedEngine::Worker
 {
+    /** A queued sub-plan: (job, sub index). */
+    using Task = std::pair<std::shared_ptr<BatchJob>, unsigned>;
+
+    struct Slot
+    {
+        std::deque<Task> queue;
+        bool busy = false; ///< a thread is executing this shard
+    };
+
     std::mutex m;
     std::condition_variable cv;
     bool stop = false;
-    std::vector<unsigned> shards; ///< shard ids this worker serves
-
-    /** Task: (job, sub index). Parallel to `shards`. */
-    std::vector<std::deque<std::pair<std::shared_ptr<BatchJob>, unsigned>>>
-        queues;
+    std::vector<Slot> slots; ///< slot k serves shard k * workers + id
 
     std::size_t cursor = 0; ///< round-robin scan position
     std::thread th;
+
+    /** Next slot with queued work that no thread is executing, scanning
+     *  round-robin so one busy shard cannot starve its siblings; null
+     *  if none. Call with `m` held. */
+    Slot *
+    nextRunnable()
+    {
+        for (std::size_t k = 0; k < slots.size(); ++k) {
+            const std::size_t i = (cursor + k) % slots.size();
+            if (!slots[i].busy && !slots[i].queue.empty()) {
+                cursor = (i + 1) % slots.size();
+                return &slots[i];
+            }
+        }
+        return nullptr;
+    }
 };
 
 ShardedEngine::ShardedEngine(const EngineConfig &cfg)
@@ -69,11 +94,8 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg)
     workers_.reserve(nthreads);
     for (unsigned t = 0; t < nthreads; ++t)
         workers_.push_back(std::make_unique<Worker>());
-    for (unsigned s = 0; s < cfg.shards; ++s) {
-        Worker &w = *workers_[workerOf(s)];
-        w.shards.push_back(s);
-        w.queues.emplace_back();
-    }
+    for (unsigned s = 0; s < cfg.shards; ++s)
+        workers_[workerOf(s)]->slots.emplace_back();
     for (auto &w : workers_)
         w->th = std::thread([this, &w = *w] { workerMain(w); });
 }
@@ -132,8 +154,8 @@ ShardedEngine::allocate(const std::string &name, u64 bytes,
         a.shardVa = sa.va;
         nextVa_ += a.bytes;
         logicalUsed_ += a.bytes;
-        byVa_[a.va] = a.id;
-        allocs_[a.id] = a;
+        const EngineAllocation &stored = allocs_[a.id] = a;
+        byVa_[a.va] = &stored;
         return a.id;
     }
     return std::nullopt;
@@ -157,7 +179,7 @@ ShardedEngine::allocationFor(Addr va) const
     auto it = byVa_.upper_bound(va);
     BUDDY_CHECK(it != byVa_.begin(), "address below all engine allocations");
     --it;
-    const EngineAllocation &a = allocs_.at(it->second);
+    const EngineAllocation &a = *it->second;
     BUDDY_CHECK(a.contains(va), "address not inside any engine allocation");
     return a;
 }
@@ -212,10 +234,15 @@ ShardedEngine::attachMetrics(obs::MetricRegistry &registry)
         probes_.windowStall = nullptr;
     }
 
-    // Queue depth depends on how fast workers drain — thread timing,
-    // not simulated time — so it is wall/ by definition.
+    // Whether a sub-plan runs on its submitter or is queued, and how
+    // deep the queue is, depend on how fast workers drain — thread
+    // timing, not simulated time — so they are wall/ by definition.
     probes_.wallQueueDepth =
         &registry.histogram("wall/engine/queue_depth");
+    probes_.wallSubplansInline =
+        &registry.counter("wall/engine/subplans_inline");
+    probes_.wallSubplansQueued =
+        &registry.counter("wall/engine/subplans_queued");
 
     // Each shard controller's own view (sub-stream windows, codec
     // outcomes, its cache's hits): reproducible, sharding-dependent.
@@ -246,8 +273,11 @@ ShardedEngine::submit(AccessBatch &batch)
         int &sub = subOf[a.shard];
         if (sub < 0) {
             sub = static_cast<int>(job->subs.size());
-            job->subs.emplace_back();
-            job->subs.back().shard = a.shard;
+            SubPlan &sp = job->subs.emplace_back();
+            sp.shard = a.shard;
+            // The rest of the batch bounds this shard's share.
+            sp.plan.ops_.reserve(n - i);
+            sp.origIdx.reserve(n - i);
         }
         SubPlan &sp = job->subs[static_cast<std::size_t>(sub)];
         AccessRequest local = op;
@@ -260,7 +290,7 @@ ShardedEngine::submit(AccessBatch &batch)
 
     auto fut = job->done.get_future();
     if (job->subs.empty()) {
-        // Empty plan: nothing to enqueue.
+        // Empty plan: nothing to run.
         if (!hub_.empty()) {
             std::lock_guard<std::mutex> lk(emitMutex_);
             hub_.emitBatch(batch.summary_);
@@ -269,26 +299,50 @@ ShardedEngine::submit(AccessBatch &batch)
         return fut;
     }
 
+    // Dispatch: run the first sub-plan whose shard is idle (nothing
+    // queued, not busy) on this thread; queue the rest to the workers.
     job->remaining.store(static_cast<unsigned>(job->subs.size()),
                          std::memory_order_relaxed);
+    Worker *claimedWorker = nullptr;
+    Worker::Slot *claimed = nullptr;
+    unsigned claimedSub = 0;
+    unsigned queued = 0;
     std::size_t peakDepth = 0;
     for (unsigned sub = 0; sub < job->subs.size(); ++sub) {
         const unsigned s = job->subs[sub].shard;
         Worker &w = *workers_[workerOf(s)];
-        const auto slot = std::find(w.shards.begin(), w.shards.end(), s) -
-                          w.shards.begin();
+        // Shards are dealt to workers round-robin (constructor).
+        Worker::Slot &slot = w.slots[s / workers_.size()];
         {
             std::lock_guard<std::mutex> lk(w.m);
-            auto &q = w.queues[static_cast<std::size_t>(slot)];
-            q.emplace_back(job, sub);
-            peakDepth = std::max(peakDepth, q.size());
+            if (!claimed && !slot.busy && slot.queue.empty()) {
+                slot.busy = true;
+                claimedWorker = &w;
+                claimed = &slot;
+                claimedSub = sub;
+                continue;
+            }
+            slot.queue.emplace_back(job, sub);
+            peakDepth = std::max(peakDepth, slot.queue.size());
         }
+        ++queued;
         w.cv.notify_one();
     }
     if (probes_.active) {
-        // Post-enqueue depth depends on worker drain speed: wall/.
         std::lock_guard<std::mutex> lk(accountMutex_);
-        probes_.wallQueueDepth->add(peakDepth);
+        probes_.wallSubplansInline->add(claimed ? 1 : 0);
+        probes_.wallSubplansQueued->add(queued);
+        if (queued > 0)
+            probes_.wallQueueDepth->add(peakDepth);
+    }
+
+    if (claimed) {
+        runTask(job, claimedSub);
+        std::lock_guard<std::mutex> lk(claimedWorker->m);
+        claimed->busy = false;
+        // The worker skipped work queued behind the claim: wake it.
+        if (!claimed->queue.empty())
+            claimedWorker->cv.notify_one();
     }
     return fut;
 }
@@ -303,37 +357,19 @@ ShardedEngine::execute(AccessBatch &batch)
 void
 ShardedEngine::workerMain(Worker &w)
 {
+    std::unique_lock<std::mutex> lk(w.m);
     for (;;) {
-        std::shared_ptr<BatchJob> job;
-        unsigned sub = 0;
-        {
-            std::unique_lock<std::mutex> lk(w.m);
-            w.cv.wait(lk, [&] {
-                if (w.stop)
-                    return true;
-                for (const auto &q : w.queues)
-                    if (!q.empty())
-                        return true;
-                return false;
-            });
-            // Round-robin over this worker's shard queues so one busy
-            // shard cannot starve its siblings.
-            for (std::size_t k = 0; k < w.queues.size() && !job; ++k) {
-                auto &q = w.queues[(w.cursor + k) % w.queues.size()];
-                if (!q.empty()) {
-                    job = std::move(q.front().first);
-                    sub = q.front().second;
-                    q.pop_front();
-                    w.cursor = (w.cursor + k + 1) % w.queues.size();
-                }
-            }
-            if (!job) {
-                if (w.stop)
-                    return;
-                continue;
-            }
-        }
-        runTask(job, sub);
+        Worker::Slot *slot = nullptr;
+        w.cv.wait(lk, [&] { return (slot = w.nextRunnable()) || w.stop; });
+        if (!slot)
+            return; // stopped with nothing left to run
+        const Worker::Task task = std::move(slot->queue.front());
+        slot->queue.pop_front();
+        slot->busy = true;
+        lk.unlock();
+        runTask(task.first, task.second);
+        lk.lock();
+        slot->busy = false;
     }
 }
 
@@ -343,8 +379,8 @@ ShardedEngine::runTask(const std::shared_ptr<BatchJob> &job, unsigned sub)
     SubPlan &sp = job->subs[sub];
     BuddyController &c = *shards_[sp.shard];
 
-    // Only this worker ever touches this shard, so attaching a capture
-    // sink around the execution is race-free.
+    // Only one thread executes a shard at a time (its slot is busy), so
+    // attaching a capture sink around the execution is race-free.
     const bool capture = !hub_.empty();
     CaptureSink cap;
     if (capture) {
@@ -463,8 +499,8 @@ ShardedEngine::finish(BatchJob &job)
         // its own links — the per-op window charges the shards computed
         // (already scattered above) stand, and the batch totals are the
         // max over shards folded above. Per-shard sub-streams are
-        // executed in submission order by one worker each and max() is
-        // order-independent, so these totals are reproducible
+        // executed in submission order, one thread at a time, and max()
+        // is order-independent, so these totals are reproducible
         // run-to-run; at one shard they are bit-identical to the merged
         // replay (same stream, same timing), which tests pin.
         u64 min_makespan = ~0ull;

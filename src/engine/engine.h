@@ -12,15 +12,20 @@
  * with per-shard work queues.
  *
  * Submission is asynchronous: submit(AccessBatch&) splits the plan by
- * shard, enqueues one sub-plan per participating shard, and returns a
- * std::future<BatchSummary>. Workers execute sub-plans in parallel; the
- * last one to finish merges the per-op AccessInfo back into submission
- * order and folds the per-shard summaries into one BatchSummary.
+ * shard and returns a std::future<BatchSummary>. When a participating
+ * shard is idle — nothing queued for it and no thread executing it —
+ * the submitting thread runs that shard's sub-plan itself before
+ * submit() returns; every other sub-plan goes to its shard's worker
+ * queue and runs in parallel. A batch on one idle shard is thus
+ * complete when submit() returns and pays no thread handoff. Whichever
+ * thread finishes the last sub-plan merges the per-op AccessInfo back
+ * into submission order and folds the per-shard summaries into one
+ * BatchSummary.
  *
- * Determinism: a shard is only ever touched by the one worker thread
- * that owns its queue, and each shard sees its sub-plan's operations in
- * submission order, so results are independent of thread scheduling.
- * Shard assignment hashes the allocation ordinal with a fixed salt
+ * Determinism: each shard executes its sub-plans one thread at a time
+ * (the submitter or the shard's worker, never both) and in submission
+ * order, so results are independent of thread scheduling. Shard
+ * assignment hashes the allocation ordinal with a fixed salt
  * (EngineConfig::shardSalt) and per-shard RNG seeds derive from
  * EngineConfig::seed, so multi-threaded runs are reproducible
  * run-to-run. Cross-shard traffic totals — including the simulated
@@ -33,11 +38,15 @@
  *
  * Thread-safety contract: allocate()/free()/attachSink()/detachSink()
  * and the merged-stat accessors must be called with no batch in flight
- * (between submit() and future completion only workers touch shard
- * state). Multiple batches may be in flight at once; per-shard FIFO
- * order keeps same-entry dependencies correct across batches. Engine
- * sinks are invoked with an internal lock held, in submission order, so
- * they need no locking of their own.
+ * (until a batch's future is ready, its sub-plans may be running on
+ * the submitting thread or on workers). submit() may be called from
+ * several threads, and multiple batches may be in flight at once;
+ * per-shard FIFO order keeps same-entry dependencies correct across
+ * batches.
+ * Engine sinks are invoked with an internal lock held, so they need no
+ * locking of their own: within a batch, events arrive in op order;
+ * across batches, in completion order, which is submission order when
+ * each batch is waited on before the next is submitted (execute()).
  */
 
 #pragma once
@@ -226,7 +235,10 @@ class ShardedEngine
     /**
      * Submit a batched access plan for parallel execution.
      *
-     * The plan is split by shard and executed concurrently; when the
+     * The plan is split by shard and executed concurrently. The
+     * calling thread runs one idle shard's sub-plan itself, so part or
+     * all of the batch may execute before submit() returns (a batch on
+     * one idle shard returns an already-ready future). When the
      * future becomes ready, batch.results() holds one AccessInfo per
      * operation in submission order and batch.summary() the merged
      * cross-shard totals (also the future's value). The batch and every
@@ -268,8 +280,9 @@ class ShardedEngine
      *                  shard/s<k>/ (including metadata hit/miss — per-
      *                  shard cache state) and, under PerShard mode,
      *                  the engine's N-GPU window totals;
-     *   wall/engine/   thread-timing-dependent (queue depth) —
-     *                  excluded from every determinism check.
+     *   wall/engine/   thread-timing-dependent (sub-plans run by
+     *                  the submitter vs. queued to workers, queue
+     *                  depth) — excluded from every determinism check.
      *
      * Call with no batch in flight; the registry must outlive the
      * engine. Metric folds happen under the accounting lock, so
@@ -420,6 +433,8 @@ class ShardedEngine
         obs::LatencyHistogram *windowOccupancy = nullptr; // Merged only
         obs::LatencyHistogram *windowStall = nullptr;     // Merged only
         obs::LatencyHistogram *wallQueueDepth = nullptr;  // wall/ subtree
+        obs::Counter *wallSubplansInline = nullptr;       // wall/ subtree
+        obs::Counter *wallSubplansQueued = nullptr;       // wall/ subtree
     };
 
     struct Worker;
@@ -436,9 +451,10 @@ class ShardedEngine
     std::mutex emitMutex_; ///< serializes engine-level sink emission
 
     /** Guards cycles_, tenantTotals_ and imbalance_ — finish() runs on
-     *  worker threads, so concurrent batch completions race without it.
-     *  The accumulations are integer sums (and per-batch maxima folded
-     *  with max/min), so the result is completion-order-independent. */
+     *  submitting and worker threads, so concurrent batch completions
+     *  race without it. The accumulations are integer sums (and
+     *  per-batch maxima folded with max/min), so the result is
+     *  completion-order-independent. */
     mutable std::mutex accountMutex_;
     CycleLedger cycles_; ///< Σ merged batch summaries (see stats())
     std::map<u32, TenantTotals> tenantTotals_;
@@ -450,7 +466,8 @@ class ShardedEngine
     std::atomic<u64> nextSeq_{0};
 
     std::map<AllocId, EngineAllocation> allocs_;
-    std::map<Addr, AllocId> byVa_; // engine base VA -> id
+    /** Engine base VA -> its allocs_ entry (map nodes are stable). */
+    std::map<Addr, const EngineAllocation *> byVa_;
     AllocId nextId_ = 1;
     u64 nextOrdinal_ = 0; ///< shard-hash input, counts all allocates
     Addr nextVa_ = 0x10000000ull;

@@ -200,7 +200,8 @@ ServiceScheduler::runBulk()
            (cfg_.maxRounds == 0 || rep.rounds < cfg_.maxRounds)) {
         // Admission: the policy fills the round up to the per-tenant and
         // global caps. Each dispatch is submitted as soon as it is
-        // planned so the engine's workers overlap with plan generation.
+        // planned: an idle shard runs it inside submit(), a busy one's
+        // worker overlaps it with plan generation.
         std::vector<unsigned> inflight(n, 0);
         std::vector<std::unique_ptr<Dispatch>> dispatches;
         while (dispatches.size() < cfg_.maxInflightTotal) {
@@ -360,8 +361,8 @@ ServiceScheduler::runContinuous()
             continue;
         }
 
-        // Resolve every outstanding future. All pending batches are
-        // already executing concurrently on the engine's workers, so
+        // Resolve every outstanding future. All pending batches have
+        // run inside submit() or are executing on the engine's workers, so
         // the blocking order is irrelevant to both wall time and the
         // (deterministic) results; resolving them all makes every
         // completion time known in simulated cycles.

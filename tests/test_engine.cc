@@ -9,13 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <future>
+#include <map>
+#include <thread>
 #include <utility>
 
 #include "core/controller.h"
 #include "engine/engine.h"
 #include "engine/trace.h"
+#include "obs/metrics.h"
 #include "workloads/patterns.h"
 
 namespace buddy {
@@ -287,6 +291,199 @@ TEST(ShardedEngine, EmptyBatchCompletesImmediately)
     AccessBatch empty;
     EXPECT_EQ(eng.submit(empty).get().operations(), 0u);
     EXPECT_TRUE(empty.results().empty());
+}
+
+/** Index of every standard-set entry whose allocation is on @p shard. */
+std::vector<std::size_t>
+entriesOnShard(const ShardedEngine &eng, const std::vector<Addr> &vas,
+               unsigned shard)
+{
+    std::vector<std::size_t> idx;
+    for (std::size_t e = 0; e < vas.size(); ++e)
+        if (eng.allocationFor(vas[e]).shard == shard)
+            idx.push_back(e);
+    return idx;
+}
+
+TEST(ShardedEngine, IdleShardBatchCompletesBeforeSubmitReturns)
+{
+    // A batch on one idle shard runs on the submitting thread: its
+    // future is ready when submit() returns, and its results are the
+    // single controller's.
+    ShardedEngine eng(engineConfig(2));
+    BuddyController single(singleConfig());
+    const auto vasE = allocateSet(eng);
+    const auto vasS = allocateSet(single);
+    ASSERT_EQ(vasE, vasS);
+    const auto onShard = entriesOnShard(eng, vasE, 1);
+    ASSERT_FALSE(onShard.empty());
+    const auto entries = mixedEntries(kN, 99);
+
+    std::vector<u8> outE(kN * kEntryBytes), outS(kN * kEntryBytes);
+    AccessBatch we, ws, re, rs;
+    for (const std::size_t e : onShard) {
+        we.write(vasE[e], entries[e].data());
+        ws.write(vasS[e], entries[e].data());
+        re.read(vasE[e], outE.data() + e * kEntryBytes);
+        rs.read(vasS[e], outS.data() + e * kEntryBytes);
+    }
+    for (auto [eb, sb] : {std::pair{&we, &ws}, std::pair{&re, &rs}}) {
+        auto fut = eng.submit(*eb);
+        ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+        single.execute(*sb);
+        EXPECT_TRUE(sameSummary(fut.get(), sb->summary()));
+        for (std::size_t i = 0; i < onShard.size(); ++i)
+            ASSERT_TRUE(sameInfo(eb->result(i), sb->result(i))) << i;
+    }
+    EXPECT_EQ(outE, outS);
+    for (const std::size_t e : onShard)
+        ASSERT_EQ(std::memcmp(outE.data() + e * kEntryBytes,
+                              entries[e].data(), kEntryBytes),
+                  0)
+            << "entry " << e;
+    EXPECT_TRUE(sameStats(eng.stats(), single.stats()));
+}
+
+TEST(ShardedEngine, ConcurrentSubmittersOnOneShardStayOrdered)
+{
+    // Two threads keep write->read->write->read chains in flight on
+    // allocations of the same shard, so the submitter's claim of an
+    // idle shard races its worker's pop of the other thread's queued
+    // sub-plans. Each shard must still run one sub-plan at a time in
+    // submission order: every read returns the write before it, and
+    // each thread's totals equal a sequential run of its batches.
+    constexpr unsigned kThreads = 2;
+    constexpr int kRounds = 150;
+    const auto entries = mixedEntries(kN, 31);
+
+    // Per thread, the entry VAs of one allocation; all on one shard.
+    auto setup = [](ShardedEngine &eng) {
+        allocateSet(eng);
+        // Six allocations over two shards: some shard holds two.
+        std::map<unsigned, std::vector<AllocId>> byShard;
+        for (const auto &[id, alloc] : eng.allocations())
+            byShard[alloc.shard].push_back(id);
+        std::vector<std::vector<Addr>> chains;
+        for (const auto &[shard, ids] : byShard) {
+            if (ids.size() < kThreads)
+                continue;
+            for (unsigned t = 0; t < kThreads; ++t) {
+                const Addr base = eng.allocations().at(ids[t]).va;
+                std::vector<Addr> &vas = chains.emplace_back();
+                for (std::size_t i = 0; i < kEntriesPerAlloc; ++i)
+                    vas.push_back(base + i * kEntryBytes);
+            }
+            break;
+        }
+        return chains;
+    };
+
+    // One thread's chain: round r writes entry (r + i) % kN to slot i,
+    // then reads it back; two rounds are in flight at a time.
+    auto chain = [&](ShardedEngine &eng, const std::vector<Addr> &vas,
+                     u32 tenant) {
+        const std::size_t n = vas.size();
+        std::vector<u8> out(2 * n * kEntryBytes);
+        for (int r = 0; r < kRounds; r += 2) {
+            AccessBatch batches[4];
+            std::future<BatchSummary> futs[4];
+            for (int k = 0; k < 2; ++k) {
+                AccessBatch &w = batches[2 * k];
+                AccessBatch &rd = batches[2 * k + 1];
+                for (std::size_t i = 0; i < n; ++i) {
+                    w.write(vas[i], entries[(r + k + i) % kN].data());
+                    rd.read(vas[i],
+                            out.data() + (k * n + i) * kEntryBytes);
+                }
+                w.setTenant(tenant);
+                rd.setTenant(tenant);
+                futs[2 * k] = eng.submit(w);
+                futs[2 * k + 1] = eng.submit(rd);
+            }
+            for (auto &f : futs)
+                f.get();
+            for (int k = 0; k < 2; ++k)
+                for (std::size_t i = 0; i < n; ++i)
+                    if (std::memcmp(out.data() + (k * n + i) * kEntryBytes,
+                                    entries[(r + k + i) % kN].data(),
+                                    kEntryBytes) != 0) {
+                        ADD_FAILURE() << "tenant " << tenant << " round "
+                                      << r + k << " slot " << i;
+                        return;
+                    }
+        }
+    };
+
+    ShardedEngine eng(engineConfig(2));
+    const auto allocs = setup(eng);
+    ASSERT_EQ(allocs.size(), kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] { chain(eng, allocs[t], t + 1); });
+    for (auto &th : threads)
+        th.join();
+
+    ShardedEngine seq(engineConfig(2));
+    const auto seqAllocs = setup(seq);
+    ASSERT_EQ(seqAllocs.size(), kThreads);
+    for (unsigned t = 0; t < kThreads; ++t)
+        chain(seq, seqAllocs[t], t + 1);
+
+    // Metadata hits depend on how the two streams interleave in the
+    // shared shard cache; every other total is a pure function of the
+    // tenant's own batches.
+    const auto got = eng.tenantTotals();
+    const auto want = seq.tenantTotals();
+    for (u32 tenant = 1; tenant <= kThreads; ++tenant) {
+        const BatchSummary &a = got.at(tenant).summary;
+        const BatchSummary &b = want.at(tenant).summary;
+        EXPECT_EQ(got.at(tenant).batches, 2u * kRounds);
+        EXPECT_EQ(a.reads, b.reads);
+        EXPECT_EQ(a.writes, b.writes);
+        EXPECT_EQ(a.deviceSectors, b.deviceSectors);
+        EXPECT_EQ(a.buddySectors, b.buddySectors);
+        EXPECT_EQ(a.buddyAccesses, b.buddyAccesses);
+        EXPECT_TRUE(a.sameCycles(b)) << "tenant " << tenant;
+    }
+}
+
+TEST(ShardedEngine, WallCountersSplitInlineAndQueuedSubplans)
+{
+    obs::MetricRegistry reg;
+    const auto entries = mixedEntries(kN, 3);
+
+    // A single-threaded execute() loop on one shard never finds its
+    // shard busy: every sub-plan runs on the caller, none is queued.
+    ShardedEngine one(engineConfig(1));
+    one.attachMetrics(reg);
+    const auto vas = allocateSet(one);
+    constexpr std::size_t kBatches = 20;
+    for (std::size_t b = 0; b < kBatches; ++b) {
+        AccessBatch plan;
+        for (std::size_t i = b; i < kN; i += kBatches)
+            plan.write(vas[i], entries[i].data());
+        one.execute(plan);
+    }
+    EXPECT_EQ(reg.counter("wall/engine/subplans_inline").value(), kBatches);
+    EXPECT_EQ(reg.counter("wall/engine/subplans_queued").value(), 0u);
+    EXPECT_EQ(reg.histogram("wall/engine/queue_depth").count(), 0u);
+
+    // A batch spanning both shards of an idle engine runs one sub-plan
+    // on the caller and queues the other to keep them parallel.
+    obs::MetricRegistry reg2;
+    ShardedEngine two(engineConfig(2));
+    two.attachMetrics(reg2);
+    const auto vas2 = allocateSet(two);
+    ASSERT_FALSE(entriesOnShard(two, vas2, 0).empty());
+    ASSERT_FALSE(entriesOnShard(two, vas2, 1).empty());
+    AccessBatch all;
+    for (std::size_t i = 0; i < kN; ++i)
+        all.write(vas2[i], entries[i].data());
+    two.execute(all);
+    EXPECT_EQ(reg2.counter("wall/engine/subplans_inline").value(), 1u);
+    EXPECT_EQ(reg2.counter("wall/engine/subplans_queued").value(), 1u);
+    EXPECT_EQ(reg2.histogram("wall/engine/queue_depth").count(), 1u);
 }
 
 TEST(ShardedEngine, FreeReleasesCapacityOnOwningShard)
